@@ -11,14 +11,11 @@ at desk scale are loopback numbers; the published deployment-scale figures
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .simfleet import DeviceProfile
-
-log = logging.getLogger(__name__)
 
 TAP_POINTS = ("gateway", "broker", "eventbus", "client")
 
@@ -169,6 +166,22 @@ def stats(deltas) -> LatencyStats:
     )
 
 
+def per_point_stats(taps: TapCollector) -> dict[str, LatencyStats]:
+    """Statistics of each tap point that has complete records."""
+    return {p: stats(d) for p in TAP_POINTS if (d := taps.deltas(p))}
+
+
+def per_category_stats(taps: TapCollector, categories: dict[str, str]) -> dict[str, LatencyStats]:
+    """End-to-end (client) statistics per device category that has data."""
+    out = {}
+    for category in sorted(set(categories.values())):
+        ids = {d for d, c in categories.items() if c == category}
+        deltas = taps.deltas("client", ids)
+        if deltas:
+            out[category] = stats(deltas)
+    return out
+
+
 # --- fleet mix -------------------------------------------------------------------
 
 _FLEET_TEMPLATE = (
@@ -240,16 +253,10 @@ class ExperimentResult:
     warnings: list[str] = field(default_factory=list)
 
     def per_point_stats(self) -> dict[str, LatencyStats]:
-        return {p: stats(self.taps.deltas(p)) for p in TAP_POINTS if self.taps.deltas(p)}
+        return per_point_stats(self.taps)
 
     def per_category_stats(self) -> dict[str, LatencyStats]:
-        out = {}
-        for category in sorted(set(self.categories.values())):
-            ids = {d for d, c in self.categories.items() if c == category}
-            deltas = self.taps.deltas("client", ids)
-            if deltas:
-                out[category] = stats(deltas)
-        return out
+        return per_category_stats(self.taps, self.categories)
 
     def end_to_end(self) -> LatencyStats:
         return stats(self.taps.deltas("client"))
@@ -289,16 +296,6 @@ async def run_experiment(n: int, duration_s: float, seed: int = 0,
         return result
     finally:
         await stack.stop()
-
-
-async def run_sweep(ns: list[int], duration_s: float, seed: int = 0) -> list[tuple[int, float, float]]:
-    rows = []
-    for n in ns:
-        result = await run_experiment(n, duration_s, seed=seed)
-        s = result.end_to_end()
-        rows.append((n, s.mean_ms, s.stddev_ms))
-        log.info("sweep n=%d mean=%.2fms stddev=%.2fms", n, s.mean_ms, s.stddev_ms)
-    return rows
 
 
 def write_report(path: str | Path, result: ExperimentResult) -> None:

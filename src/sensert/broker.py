@@ -1,11 +1,11 @@
 """QoS-0 publish/subscribe broker over TCP with broker-to-broker bridging.
 
 One asyncio task per connection plus a synchronous routing core. The publish
-path never blocks on any subscriber socket: every session owns a bounded
-outbound queue (drop-oldest on overflow) drained by its own writer task.
-Bridges connect out to a remote broker and republish in, out, or both
-directions; loop prevention is by ingress-link exclusion, so a message is
-never echoed back over the link it arrived on.
+path never blocks on any subscriber socket: every subscriber (client session
+or bridge-out forwarder) owns a drop-oldest :class:`~sensert.pipe.BoundedQueue`
+drained by its own task. Bridges connect out to a remote broker and
+republish in, out, or both directions; loop prevention is by ingress-link
+exclusion, so a message is never echoed back over the link it arrived on.
 """
 
 from __future__ import annotations
@@ -15,25 +15,19 @@ import itertools
 import json
 import logging
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
 from . import wire
 from .mqtt_client import MqttClient, MqttError
+from .pipe import BoundedQueue, connect_with_backoff, now_ms
 
 log = logging.getLogger(__name__)
 
 CONNECT_TIMEOUT_S = 10.0
-BRIDGE_BACKOFF_BASE_S = 0.5
-BRIDGE_BACKOFF_CAP_S = 30.0
 
 # (came_over_bridge, topic, payload, epoch_ms) on every routed publish.
 PublishObserver = Callable[[bool, str, bytes, int], None]
-
-
-def _now_ms() -> int:
-    return time.time_ns() // 1_000_000
 
 
 @dataclass
@@ -74,63 +68,50 @@ class BrokerStats:
 
 
 class _Subscriber:
-    """Anything the routing core can deliver to: client session or bridge-out."""
+    """A routing target: a ClientSession or, used as is, a bridge's outbound
+    forwarder. Queues (topic, payload, retain) in one drop-oldest queue."""
 
-    def __init__(self, link_id: int):
+    def __init__(self, link_id: int, max_queue: int, stats: BrokerStats):
         self.link_id = link_id
         # raw filter string -> pre-split levels (dict dedups by filter string)
         self.filters: dict[str, tuple[str, ...]] = {}
+        self.queue: BoundedQueue[tuple[str, bytes, bool]] = BoundedQueue(max_queue)
+        self._stats = stats
 
     def matches(self, topic_levels: tuple[str, ...]) -> bool:
         return any(wire.topic_matches(f, topic_levels) for f in self.filters.values())
 
     def deliver(self, topic: str, payload: bytes, retain: bool) -> None:
-        raise NotImplementedError
+        if not self.queue.put((topic, payload, retain)):
+            self._stats.drops += 1
 
 
 class ClientSession(_Subscriber):
-    def __init__(self, link_id: int, client_id: str, writer: asyncio.StreamWriter,
+    def __init__(self, link_id: int, client_id: str, writer: asyncio.StreamWriter | None,
                  keep_alive_s: int, max_queue: int, stats: BrokerStats):
-        super().__init__(link_id)
+        super().__init__(link_id, max_queue, stats)
         self.client_id = client_id
         self.writer = writer
         self.keep_alive_s = keep_alive_s
         self.last_seen = time.monotonic()
-        self._queue: deque[bytes] = deque()
-        self._max_queue = max_queue
-        self._stats = stats
-        self._wake = asyncio.Event()
-        self._closing = False
-        self.drops = 0
         self.writer_task: asyncio.Task | None = None
 
-    def deliver(self, topic: str, payload: bytes, retain: bool) -> None:
-        frame = wire.encode_packet(wire.Publish(topic, payload, retain))
-        if len(self._queue) >= self._max_queue:
-            self._queue.popleft()
-            self.drops += 1
-            self._stats.drops += 1
-        self._queue.append(frame)
-        self._wake.set()
-
     async def run_writer(self) -> None:
+        queue = self.queue
         try:
-            while not self._closing:
-                while not self._queue:
-                    self._wake.clear()
-                    if self._closing:
-                        return
-                    await self._wake.wait()
-                frame = self._queue.popleft()
-                self.writer.write(frame)
+            while not queue.closed:
+                topic, payload, retain = await queue.get()
+                self.writer.write(wire.encode_packet(wire.Publish(topic, payload, retain)))
                 await self.writer.drain()
                 self._stats.msgs_out += 1
         except (ConnectionError, OSError):
             pass
 
     def close(self) -> None:
-        self._closing = True
-        self._wake.set()
+        """Stop writing; frames still queued stay pending, not dropped."""
+        self.queue.close()
+        if self.writer_task is not None:
+            self.writer_task.cancel()
         try:
             self.writer.close()
         except Exception:
@@ -192,7 +173,7 @@ class Broker:
         each, never back over the origin link. Returns sessions targeted."""
         self.stats.msgs_in += 1
         if self._observer is not None:
-            self._observer(from_bridge, topic, payload, _now_ms())
+            self._observer(from_bridge, topic, payload, now_ms())
         topic_levels = tuple(topic.split("/"))
         count = 0
         for sub in list(self._subscribers.values()):
@@ -229,9 +210,8 @@ class Broker:
         return len(self._by_client_id)
 
     def pending_frames(self) -> int:
-        """Frames queued towards subscribers but not yet written."""
-        return sum(len(s._queue) for s in self._subscribers.values()
-                   if isinstance(s, ClientSession))
+        """Frames queued towards subscribers (sessions and bridges) but not yet written."""
+        return sum(s.queue.pending for s in self._subscribers.values())
 
     # --- connection handling --------------------------------------------------
 
@@ -266,11 +246,7 @@ class Broker:
             log.warning("broker %s: protocol violation from %s: %s", self.name, peer, exc)
         finally:
             if session is not None:
-                if self._by_client_id.get(session.client_id) is session:
-                    del self._by_client_id[session.client_id]
-                self.unregister_subscriber(session)
-                self.stats.live_sessions = self.live_sessions
-                session.close()
+                self._drop_session(session)
             else:
                 try:
                     writer.close()
@@ -338,32 +314,6 @@ class Broker:
                     self._drop_session(session)
 
 
-class _BridgeOutSubscriber(_Subscriber):
-    """Pseudo-session forwarding matching local publishes to the remote end."""
-
-    def __init__(self, link_id: int, max_queue: int, stats: BrokerStats):
-        super().__init__(link_id)
-        self._queue: deque[tuple[str, bytes, bool]] = deque()
-        self._max_queue = max_queue
-        self._stats = stats
-        self._wake = asyncio.Event()
-        self.drops = 0
-
-    def deliver(self, topic: str, payload: bytes, retain: bool) -> None:
-        if len(self._queue) >= self._max_queue:
-            self._queue.popleft()
-            self.drops += 1
-            self._stats.drops += 1
-        self._queue.append((topic, payload, retain))
-        self._wake.set()
-
-    async def next(self) -> tuple[str, bytes, bool]:
-        while not self._queue:
-            self._wake.clear()
-            await self._wake.wait()
-        return self._queue.popleft()
-
-
 class Bridge:
     """Maintains one client connection to the remote broker.
 
@@ -377,14 +327,13 @@ class Bridge:
         self.rule = rule
         self.link_id = broker.new_link_id()
         self.connected = asyncio.Event()
-        self._out_sub: _BridgeOutSubscriber | None = None
+        self._out_sub: _Subscriber | None = None
         self._task: asyncio.Task | None = None
         self._forward_task: asyncio.Task | None = None
         self._client: MqttClient | None = None
         self._stopping = False
         if rule.direction in ("out", "both"):
-            self._out_sub = _BridgeOutSubscriber(
-                self.link_id, broker._max_session_queue, broker.stats)
+            self._out_sub = _Subscriber(self.link_id, broker._max_session_queue, broker.stats)
             self._out_sub.filters[rule.filter] = wire.validate_filter(rule.filter)
             broker.register_subscriber(self._out_sub)
 
@@ -405,21 +354,11 @@ class Bridge:
             await asyncio.gather(self._task, return_exceptions=True)
 
     async def _run(self) -> None:
-        attempt = 0
         while not self._stopping:
-            try:
-                client = await MqttClient.connect(
-                    self.rule.remote_host, self.rule.remote_port,
-                    client_id=f"bridge-{self.broker.name}-{self.link_id}",
-                    keep_alive_s=30, on_message=self._on_remote_message)
-            except (MqttError, ConnectionError, OSError, asyncio.TimeoutError):
-                delay = min(BRIDGE_BACKOFF_BASE_S * (2 ** attempt), BRIDGE_BACKOFF_CAP_S)
-                attempt += 1
-                log.info("bridge %s->%s: connect failed, retry in %.1fs",
-                         self.broker.name, self.rule.remote, delay)
-                await asyncio.sleep(delay)
-                continue
-            attempt = 0
+            client = await connect_with_backoff(lambda: MqttClient.connect(
+                self.rule.remote_host, self.rule.remote_port,
+                client_id=f"bridge-{self.broker.name}-{self.link_id}",
+                keep_alive_s=30, on_message=self._on_remote_message))
             self._client = client
             try:
                 if self.rule.direction in ("in", "both"):
@@ -438,8 +377,6 @@ class Bridge:
                     self._forward_task = None
                 await client.close()
                 self._client = None
-            if not self._stopping:
-                await asyncio.sleep(BRIDGE_BACKOFF_BASE_S)
 
     def _on_remote_message(self, topic: str, payload: bytes, retain: bool) -> None:
         local_topic = f"{self.rule.local_prefix}/{topic}" if self.rule.local_prefix else topic
@@ -449,7 +386,7 @@ class Bridge:
         assert self._out_sub is not None
         try:
             while True:
-                topic, payload, retain = await self._out_sub.next()
+                topic, payload, retain = await self._out_sub.queue.get()
                 await client.publish(topic, payload, retain)
         except (MqttError, ConnectionError, OSError):
             pass

@@ -14,6 +14,7 @@ from . import __version__
 from .broker import Broker, BrokerConfig
 from .decoders import parse_time_ms
 from .metadata import DeviceMetadataRecord, MetadataStore, SpatialContainer
+from .pipe import now_ms
 from .rts import RealTimeServer
 from .rts.monitor import DataMonitor
 from .rts.verticles import FeedHandler, MessageFiler, RTCoffee, ThresholdRule, ThresholdWatch
@@ -239,8 +240,7 @@ def _run_meta(args) -> int:
                           "doc": record.doc}, indent=2))
         return 0
     if args.meta_command == "ls":
-        import time as _time
-        t = parse_time_ms(args.at) if args.at else int(_time.time() * 1000)
+        t = parse_time_ms(args.at) if args.at else now_ms()
         if t is None:
             t = int(args.at)
         for device_id in store.devices_in(args.container_id, t):

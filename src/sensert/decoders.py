@@ -21,9 +21,6 @@ log = logging.getLogger(__name__)
 # Reading time may not run ahead of first-hop receipt by more than this.
 CLOCK_SKEW_ALLOWANCE_MS = 500
 
-# MQTT-level dead-letter topic for deployments that republish failures.
-DEADLETTER_TOPIC = "sensert/deadletter"
-
 
 class DecodeError(ValueError):
     pass
@@ -335,6 +332,8 @@ class DecoderRegistry:
         if msg.ts > m.received_at + CLOCK_SKEW_ALLOWANCE_MS:
             msg.ts = m.received_at
             self.stats.ts_clamped += 1
+        if msg.ts <= 0:
+            raise DecodeError(f"reading time {msg.ts} is not positive")
         self.stats.decoded += 1
         return msg
 

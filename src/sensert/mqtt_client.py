@@ -9,6 +9,7 @@ import uuid
 from typing import Awaitable, Callable, Optional
 
 from . import wire
+from .pipe import BoundedQueue, QueueClosed
 
 log = logging.getLogger(__name__)
 
@@ -19,14 +20,11 @@ class MqttError(ConnectionError):
     pass
 
 
-_CLOSED = object()  # queue sentinel so blocked consumers observe disconnects
-
-
 class MqttClient:
     """QoS-0 clean-session client over plaintext TCP.
 
     Incoming publishes go to the ``on_message`` callback when given, else to
-    an internal queue drained via :meth:`next_message`.
+    a drop-newest inbound queue drained via :meth:`next_message`.
     """
 
     def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
@@ -36,7 +34,8 @@ class MqttClient:
         self.client_id = client_id
         self._keep_alive_s = keep_alive_s
         self._on_message = on_message
-        self._queue: asyncio.Queue[tuple[str, bytes, bool]] = asyncio.Queue(maxsize=65536)
+        self.inbound: BoundedQueue[tuple[str, bytes, bool]] = BoundedQueue(65536, "drop_newest")
+        self._pushback = b""
         self._pending: dict[int, asyncio.Future] = {}
         self._packet_ids = itertools.cycle(range(1, 0x10000))
         self._closed = asyncio.Event()
@@ -68,7 +67,7 @@ class MqttClient:
         return self._closed.is_set()
 
     def inbound_pending(self) -> int:
-        return self._queue.qsize()
+        return self.inbound.pending
 
     async def wait_closed(self) -> None:
         await self._closed.wait()
@@ -113,15 +112,10 @@ class MqttClient:
 
         Raises MqttError once the connection is closed and the queue drained.
         """
-        if self.closed and self._queue.empty():
-            raise MqttError("connection closed")
-        if timeout is None:
-            item = await self._queue.get()
-        else:
-            item = await asyncio.wait_for(self._queue.get(), timeout)
-        if item is _CLOSED:
-            raise MqttError("connection closed")
-        return item
+        try:
+            return await asyncio.wait_for(self.inbound.get(), timeout)
+        except QueueClosed:
+            raise MqttError("connection closed") from None
 
     async def close(self) -> None:
         if not self.closed:
@@ -154,7 +148,7 @@ class MqttClient:
             buf += chunk
 
     async def _read_loop(self) -> None:
-        buf = bytearray(getattr(self, "_pushback", b""))
+        buf = bytearray(self._pushback)
         try:
             while True:
                 result = wire.decode_packet(buf)
@@ -182,11 +176,8 @@ class MqttClient:
                 res = self._on_message(pkt.topic, pkt.payload, pkt.retain)
                 if asyncio.iscoroutine(res):
                     await res
-            else:
-                try:
-                    self._queue.put_nowait((pkt.topic, pkt.payload, pkt.retain))
-                except asyncio.QueueFull:
-                    log.warning("client %s: inbound queue full, dropping", self.client_id)
+            elif not self.inbound.put((pkt.topic, pkt.payload, pkt.retain)):
+                log.warning("client %s: inbound queue full, dropping", self.client_id)
         elif isinstance(pkt, (wire.Suback, wire.Unsuback)):
             fut = self._pending.pop(pkt.packet_id, None)
             if fut is not None and not fut.done():
@@ -215,12 +206,7 @@ class MqttClient:
                 if not fut.done():
                     fut.set_exception(MqttError("connection closed"))
             self._pending.clear()
-            try:
-                # a blocked consumer is only possible with an empty queue,
-                # so the sentinel always lands when it matters
-                self._queue.put_nowait(_CLOSED)
-            except asyncio.QueueFull:
-                pass
+            self.inbound.close()
             try:
                 self._writer.close()
             except Exception:

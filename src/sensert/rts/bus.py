@@ -1,25 +1,19 @@
 """In-process event bus: the shared message-box for all verticles.
 
 There is one bus per server rather than one mailbox per actor; per-subscriber
-isolation comes from each subscription's own bounded queue. ``publish`` is a
-plain synchronous enqueue and never executes subscriber code inline, so its
-cost is independent of how slow any consumer is. Staleness (timeliness) is
-enforced at delivery time, when the consumer's bound is known.
+isolation comes from each subscription's own :class:`~sensert.pipe.BoundedQueue`.
+``publish`` is a plain synchronous enqueue and never executes subscriber code
+inline, so its cost is independent of how slow any consumer is. Staleness
+(timeliness) is enforced at delivery time, when the consumer's bound is known.
 """
 
 from __future__ import annotations
 
-import asyncio
-import time
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Literal
 
 from .. import wire
-
-
-def now_ms() -> int:
-    return time.time_ns() // 1_000_000
+from ..pipe import BoundedQueue, Overflow, now_ms
 
 
 # Extensible vocabulary for derived events.
@@ -75,7 +69,6 @@ class BusEnvelope:
     stale: bool = False
 
 
-Overflow = Literal["drop_oldest", "drop_newest"]
 StaleAction = Literal["drop_counted", "deliver_flagged"]
 
 
@@ -105,25 +98,23 @@ class Subscription:
         self.filter_levels = wire.validate_filter(filter_raw)
         self.policy = policy
         self.owner = owner
-        self._q: deque[BusEnvelope] = deque()
-        self._wake = asyncio.Event()
-        self.matched = 0
-        self.delivered = 0
-        self.drops = 0
+        self.queue: BoundedQueue[BusEnvelope] = BoundedQueue(policy.queue_capacity,
+                                                             policy.overflow)
         self.stale_drops = 0
         self.active = True
 
-    # called by the bus, synchronously, on the publisher's task
-    def _offer(self, env: BusEnvelope) -> None:
-        self.matched += 1
-        if len(self._q) >= self.policy.queue_capacity:
-            if self.policy.overflow == "drop_oldest":
-                self._q.popleft()
-                self._q.append(env)
-            self.drops += 1
-        else:
-            self._q.append(env)
-        self._wake.set()
+    # the queue's `delivered` also counts envelopes then dropped as stale
+    @property
+    def matched(self) -> int:
+        return self.queue.offered
+
+    @property
+    def delivered(self) -> int:
+        return self.queue.delivered - self.stale_drops
+
+    @property
+    def drops(self) -> int:
+        return self.queue.dropped
 
     def _apply_timeliness(self, env: BusEnvelope) -> BusEnvelope | None:
         bound = self.policy.timeliness_bound_s
@@ -132,27 +123,23 @@ class Subscription:
                 self.stale_drops += 1
                 return None
             env = replace(env, stale=True)
-        self.delivered += 1
         return env
 
     async def get(self) -> BusEnvelope:
         while True:
-            while not self._q:
-                self._wake.clear()
-                await self._wake.wait()
-            env = self._apply_timeliness(self._q.popleft())
+            env = self._apply_timeliness(await self.queue.get())
             if env is not None:
                 return env
 
     def get_nowait(self) -> BusEnvelope | None:
-        while self._q:
-            env = self._apply_timeliness(self._q.popleft())
+        while self.queue.pending:
+            env = self._apply_timeliness(self.queue.get_nowait())
             if env is not None:
                 return env
         return None
 
     def pending(self) -> int:
-        return len(self._q)
+        return self.queue.pending
 
     def stats(self) -> dict[str, int]:
         return {
@@ -160,11 +147,11 @@ class Subscription:
             "delivered": self.delivered,
             "drops": self.drops,
             "stale_drops": self.stale_drops,
-            "pending": len(self._q),
+            "pending": self.queue.pending,
         }
 
     def conserved(self) -> bool:
-        return self.matched == self.delivered + self.drops + self.stale_drops + len(self._q)
+        return self.queue.conserved()
 
 
 # Observer sees every accepted envelope, synchronously, before fan-out.
@@ -190,7 +177,7 @@ class EventBus:
             self._observer(env)
         for sub in self._subs:
             if wire.topic_matches(sub.filter_levels, addr_levels):
-                sub._offer(env)
+                sub.queue.put(env)
         return env
 
     def subscribe(self, filter_raw: str, policy: SubscriptionPolicy | None = None,

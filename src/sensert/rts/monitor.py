@@ -11,7 +11,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-from typing import Any, AsyncIterator
+from typing import Any
 
 from ..decoders import DeadLetter, NormalizedMessage
 from .bus import DerivedEvent, SubscriptionPolicy, Subscription
@@ -158,10 +158,6 @@ class MonitorClient:
         if not raw:
             raise ConnectionError("monitor connection closed")
         return json.loads(raw.decode("utf-8"))
-
-    async def stream(self) -> AsyncIterator[dict]:
-        while True:
-            yield await self.next()
 
     async def close(self) -> None:
         try:

@@ -19,14 +19,12 @@ from ..decoders import (
     default_registry,
 )
 from ..mqtt_client import MqttClient, MqttError
-from .bus import DerivedEvent, SubscriptionPolicy, now_ms
+from ..pipe import connect_with_backoff, now_ms
+from .bus import DerivedEvent, SubscriptionPolicy
 from .coffee import CoffeeConfig, CoffeeState, DEFAULT_CONFIG, coffee_step
 from .server import Verticle
 
 log = logging.getLogger(__name__)
-
-RECONNECT_BASE_S = 0.5
-RECONNECT_CAP_S = 30.0
 
 
 def _sanitize_level(part: str) -> str:
@@ -34,16 +32,9 @@ def _sanitize_level(part: str) -> str:
     return part.replace("/", "_").replace("+", "_").replace("#", "_") or "_"
 
 
-async def _backoff_connect(host: str, port: int, client_id: str, on_message=None) -> MqttClient:
-    attempt = 0
-    while True:
-        try:
-            return await MqttClient.connect(host, port, client_id=client_id,
-                                            keep_alive_s=30, on_message=on_message)
-        except (MqttError, ConnectionError, OSError, asyncio.TimeoutError):
-            delay = min(RECONNECT_BASE_S * (2 ** attempt), RECONNECT_CAP_S)
-            attempt += 1
-            await asyncio.sleep(delay)
+async def _backoff_connect(host: str, port: int, client_id: str) -> MqttClient:
+    return await connect_with_backoff(
+        lambda: MqttClient.connect(host, port, client_id=client_id, keep_alive_s=30))
 
 
 class FeedHandler(Verticle):
@@ -351,7 +342,7 @@ class MessageRouter(Verticle):
                     self.forwarded += 1
                     pending = None
                 except (MqttError, ConnectionError, OSError):
-                    await asyncio.sleep(RECONNECT_BASE_S)
+                    pass  # the client is closed now; reconnect on the next turn
         finally:
             if client is not None:
                 await client.close()

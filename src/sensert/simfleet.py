@@ -20,7 +20,6 @@ import hashlib
 import json
 import logging
 import random
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -29,6 +28,7 @@ from typing import Any, Callable
 
 from .decoders import RawSensorMessage
 from .mqtt_client import MqttClient, MqttError
+from .pipe import connect_with_backoff, now_ms
 from .ws import WsConnection, ws_connect, ws_handshake_server
 
 log = logging.getLogger(__name__)
@@ -62,10 +62,6 @@ DEEPDISH_DELAY_S = 0.2
 
 DEVICE_BUFFER_CAP = 100
 WEIGHT_NOISE_SIGMA_KG = 0.01
-
-
-def now_ms() -> int:
-    return time.time_ns() // 1_000_000
 
 
 def stable_seed(*parts: Any) -> int:
@@ -412,20 +408,20 @@ class ZigbeeTranslator:
             self._task.cancel()
             await asyncio.gather(self._task, return_exceptions=True)
 
+    async def _connect(self) -> tuple[WsConnection, MqttClient]:
+        ws = await ws_connect(*self.ws_addr)
+        try:
+            client = await MqttClient.connect(*self.broker_addr, client_id="zigbee-translator")
+        except BaseException:
+            await ws.close()
+            raise
+        return ws, client
+
     async def _run(self) -> None:
-        attempt = 0
         while True:
-            ws = None
-            client = None
+            ws, client = await connect_with_backoff(self._connect)
             try:
-                ws = await ws_connect(*self.ws_addr)
-                client = await MqttClient.connect(*self.broker_addr,
-                                                  client_id="zigbee-translator")
-                attempt = 0
-                while True:
-                    text = await ws.recv_text()
-                    if text is None:
-                        break
+                while (text := await ws.recv_text()) is not None:
                     try:
                         event = json.loads(text)
                         device = str(event.get("id", "unknown"))
@@ -433,16 +429,11 @@ class ZigbeeTranslator:
                         continue
                     await client.publish(f"zigbee/{device}/state", text.encode())
                     self.forwarded += 1
-            except (ConnectionError, OSError, MqttError, asyncio.TimeoutError):
+            except (ConnectionError, OSError, asyncio.TimeoutError):
                 pass
             finally:
-                if ws is not None:
-                    await ws.close()
-                if client is not None:
-                    await client.close()
-            delay = min(0.5 * (2 ** attempt), 10.0)
-            attempt += 1
-            await asyncio.sleep(delay)
+                await ws.close()
+                await client.close()
 
 
 # --- transports -------------------------------------------------------------------
@@ -471,19 +462,10 @@ class _MqttTransport:
             await asyncio.sleep(0.05)
 
     async def _maintain(self) -> None:
-        attempt = 0
         while True:
-            try:
-                client = await MqttClient.connect(self.host, self.port,
-                                                  client_id=f"sim-{self.name}")
-            except (MqttError, ConnectionError, OSError, asyncio.TimeoutError):
-                delay = min(0.5 * (2 ** attempt), 10.0)
-                attempt += 1
-                await asyncio.sleep(delay)
-                continue
-            attempt = 0
-            self._client = client
-            await client.wait_closed()
+            self._client = await connect_with_backoff(lambda: MqttClient.connect(
+                self.host, self.port, client_id=f"sim-{self.name}"))
+            await self._client.wait_closed()
             self._client = None
 
     def publish(self, topic: str, payload: bytes) -> None:
@@ -560,9 +542,6 @@ class EmissionLog:
 
     def count_drop(self, device_id: str) -> None:
         self.drops[device_id] = self.drops.get(device_id, 0) + 1
-
-    def count_for(self, device_id: str) -> int:
-        return sum(1 for r in self.records if r.device_id == device_id)
 
     def counts(self) -> dict[str, int]:
         out: dict[str, int] = {}

@@ -12,13 +12,20 @@ from __future__ import annotations
 import asyncio
 import logging
 import tempfile
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .bench import TapCollector, categories_of, stats, write_fig8b, write_table2
+from .bench import (
+    TapCollector,
+    categories_of,
+    per_category_stats,
+    per_point_stats,
+    write_fig8b,
+    write_table2,
+)
 from .broker import Broker, BridgeRule
 from .decoders import NormalizedMessage
+from .pipe import now_ms
 from .rts import EventBus, RealTimeServer
 from .rts.monitor import DataMonitor, MonitorClient
 from .rts.verticles import (
@@ -40,10 +47,6 @@ from .simfleet import (
 )
 
 log = logging.getLogger(__name__)
-
-
-def now_ms() -> int:
-    return time.time_ns() // 1_000_000
 
 
 DEFAULT_RULES = [
@@ -328,20 +331,10 @@ async def run_demo(scenario_name: str = "coffee", seed: int = 42,
         if out_dir is not None:
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
-            per_point = {}
-            for point in ("gateway", "broker", "eventbus", "client"):
-                deltas = stack.taps.deltas(point)
-                if deltas:
-                    per_point[point] = stats(deltas)
+            per_point = per_point_stats(stack.taps)
             if per_point:
                 write_table2(out / "table2.csv", per_point)
-            categories = categories_of(scenario.profiles)
-            per_category = {}
-            for category in sorted(set(categories.values())):
-                ids = {d for d, c in categories.items() if c == category}
-                deltas = stack.taps.deltas("client", ids)
-                if deltas:
-                    per_category[category] = stats(deltas)
+            per_category = per_category_stats(stack.taps, categories_of(scenario.profiles))
             if per_category:
                 write_fig8b(out / "fig8b.csv", per_category)
         return result

@@ -20,6 +20,9 @@ OP_CLOSE = 0x8
 OP_PING = 0x9
 OP_PONG = 0xA
 
+# Largest frame payload accepted; a bigger claim closes the connection.
+MAX_FRAME_BYTES = 1 << 20
+
 
 class WsError(ConnectionError):
     pass
@@ -107,10 +110,13 @@ class WsConnection:
                 n = struct.unpack(">H", await self._reader.readexactly(2))[0]
             elif n == 127:
                 n = struct.unpack(">Q", await self._reader.readexactly(8))[0]
+            if n > MAX_FRAME_BYTES:
+                raise WsError(f"frame of {n} bytes exceeds {MAX_FRAME_BYTES}")
             key = await self._reader.readexactly(4) if masked else None
             payload = await self._reader.readexactly(n) if n else b""
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
             self.closed = True
+            self._writer.close()
             return None
         if key is not None:
             payload = bytes(b ^ key[i % 4] for i, b in enumerate(payload))

@@ -325,6 +325,9 @@ def test_slow_consumer_does_not_delay_others():
             pass
         assert received == n
         assert broker.stats.drops > 0  # stalled session overflowed its queue
+        stalled_queue = broker._by_client_id["stalled"].queue
+        assert stalled_queue.conserved()
+        assert broker.stats.drops == stalled_queue.dropped
         stalled.close()
         await healthy.close()
         await pub.close()
@@ -335,13 +338,13 @@ def test_slow_consumer_does_not_delay_others():
 
 def test_route_publish_returns_delivery_count():
     """Routing-core contract without sockets: count, dedup, origin exclusion."""
-    from sensert.broker import Broker, _BridgeOutSubscriber
+    from sensert.broker import Broker, _Subscriber
 
     async def main():
         broker = Broker()
 
         def subscriber(*filters):
-            sub = _BridgeOutSubscriber(broker.new_link_id(), 16, broker.stats)
+            sub = _Subscriber(broker.new_link_id(), 16, broker.stats)
             for f in filters:
                 sub.filters[f] = wire.validate_filter(f)
             broker.register_subscriber(sub)
@@ -353,12 +356,12 @@ def test_route_publish_returns_delivery_count():
 
         s3 = subscriber("a/#", "a/+")  # overlapping filters, one session
         assert broker.route_publish(0, "a/b", b"y") == 1
-        assert len(s3._queue) == 1
+        assert s3.queue.pending == 1
 
         # never delivered back over the origin link
         assert broker.route_publish(s1.link_id, "tele/p2/SENSOR", b"z") == 1
-        assert len(s1._queue) == 1  # only the first publish
-        assert len(s2._queue) == 2
+        assert s1.queue.pending == 1  # only the first publish
+        assert s2.queue.pending == 2
 
         assert broker.route_publish(0, "nomatch", b"") == 0
 

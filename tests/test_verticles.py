@@ -121,6 +121,46 @@ def test_feedhandler_reconnects_after_broker_restart():
     run(main())
 
 
+@pytest.mark.parametrize("bad_time", [-5, -10**15])
+def test_non_positive_reading_time_is_deadlettered(tmp_path, bad_time):
+    """A bad reading time must not kill the filer's or the watch's task."""
+
+    async def main():
+        broker = Broker()
+        await broker.start("127.0.0.1", 0)
+        rts = RealTimeServer()
+        dead_sub = rts.bus.subscribe("feed/deadletter")
+        events = rts.bus.subscribe("event/threshold/#")
+        filer = MessageFiler(tmp_path)
+        await rts.deploy(FeedHandler(*broker.address))
+        await rts.deploy(filer)
+        await rts.deploy(ThresholdWatch([ThresholdRule("feed/smartplug/#", "power_w", "<", 1.0)]))
+        await asyncio.sleep(0.3)
+
+        pub = await MqttClient.connect(*broker.address)
+        await pub.publish("tele/p1/SENSOR", json.dumps(
+            {"Time": bad_time, "ENERGY": {"Power": 0.0}}).encode())
+        env = await asyncio.wait_for(dead_sub.get(), 3)
+        assert "not positive" in env.body.reason
+
+        await pub.publish("tele/p1/SENSOR", json.dumps(
+            {"Time": "2020-06-01T10:00:00Z", "ENERGY": {"Power": 0.0}}).encode())
+        env = await asyncio.wait_for(events.get(), 3)
+        assert env.body.event_type == "threshold-crossed"
+        for _ in range(100):
+            if filer.lines_written:
+                break
+            await asyncio.sleep(0.01)
+        assert filer.lines_written == 1
+        assert (tmp_path / "p1" / "2020" / "06" / "01.jsonl").exists()
+
+        await pub.close()
+        await rts.stop()
+        await broker.stop()
+
+    run(main())
+
+
 # --- messagefiler -----------------------------------------------------------------
 
 def test_filer_paths_and_latest(tmp_path):
@@ -257,6 +297,8 @@ def test_threshold_missing_field_counted_skipped():
         await asyncio.sleep(0.1)
         assert watch.missing_field == 1
         await rts.stop()
+
+    run(main())
 
     run(main())
 
