@@ -200,12 +200,6 @@ class MetadataStore:
         hit = history.asof(t)
         return hit[1] if hit else None
 
-    def container_asof(self, container_id: str, t: int) -> dict | None:
-        return self._container_doc(container_id, t)
-
-    def container_ids(self) -> list[str]:
-        return sorted(self._containers)
-
     def descendants(self, container_id: str, t: int) -> set[str]:
         """The container and every transitive child, as of t."""
         if container_id not in self._containers:

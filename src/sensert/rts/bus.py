@@ -5,6 +5,12 @@ isolation comes from each subscription's own :class:`~sensert.pipe.BoundedQueue`
 ``publish`` is a plain synchronous enqueue and never executes subscriber code
 inline, so its cost is independent of how slow any consumer is. Staleness
 (timeliness) is enforced at delivery time, when the consumer's bound is known.
+
+Subscriptions are indexed by filter in one :class:`~sensert.wire.TopicTree`,
+so a publish costs O(levels + matches) whatever the number of subscriptions.
+Each subscription receives envelopes in publish order; the order in which
+different subscriptions receive one envelope follows the tree and is
+unspecified.
 """
 
 from __future__ import annotations
@@ -101,7 +107,6 @@ class Subscription:
         self.queue: BoundedQueue[BusEnvelope] = BoundedQueue(policy.queue_capacity,
                                                              policy.overflow)
         self.stale_drops = 0
-        self.active = True
 
     # the queue's `delivered` also counts envelopes then dropped as stale
     @property
@@ -160,7 +165,8 @@ PublishObserver = Callable[[BusEnvelope], None]
 
 class EventBus:
     def __init__(self, publish_observer: PublishObserver | None = None):
-        self._subs: list[Subscription] = []
+        self._subs: list[Subscription] = []  # subscribe order, for audit()
+        self._tree: wire.TopicTree[Subscription] = wire.TopicTree()
         self._seq: dict[str, int] = {}
         self._observer = publish_observer
         self.published = 0
@@ -175,23 +181,23 @@ class EventBus:
         self.published += 1
         if self._observer is not None:
             self._observer(env)
-        for sub in self._subs:
-            if wire.topic_matches(sub.filter_levels, addr_levels):
-                sub.queue.put(env)
+        for sub in self._tree.match(addr_levels):
+            sub.queue.put(env)
         return env
 
     def subscribe(self, filter_raw: str, policy: SubscriptionPolicy | None = None,
                   owner: str = "") -> Subscription:
         sub = Subscription(self, filter_raw, policy or SubscriptionPolicy(), owner=owner)
         self._subs.append(sub)
+        self._tree.add(sub.filter_levels, sub)
         return sub
 
     def unsubscribe(self, sub: Subscription) -> None:
-        sub.active = False
         try:
             self._subs.remove(sub)
         except ValueError:
-            pass
+            return
+        self._tree.remove(sub.filter_levels, sub)
 
     def subscriptions(self) -> list[Subscription]:
         return list(self._subs)

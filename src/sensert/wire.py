@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Union
+from typing import Generic, TypeVar, Union
 
 PROTOCOL_NAME = "MQTT"
 PROTOCOL_LEVEL = 4
@@ -145,11 +145,11 @@ def validate_topic(raw: str) -> tuple[str, ...]:
         raise InvalidTopic("topic must not be empty")
     if encoded > 0xFFFF:
         raise InvalidTopic("topic exceeds 65535 encoded bytes")
-    for i, ch in enumerate(raw):
-        if ch in "+#":
-            raise InvalidTopic(f"wildcard {ch!r} not allowed in topic name (position {i})")
+    if "+" in raw or "#" in raw or "\x00" in raw:
+        i, ch = next((i, ch) for i, ch in enumerate(raw) if ch in "+#\x00")
         if ch == "\x00":
             raise InvalidTopic(f"NUL not allowed in topic name (position {i})")
+        raise InvalidTopic(f"wildcard {ch!r} not allowed in topic name (position {i})")
     return tuple(raw.split("/"))
 
 
@@ -197,6 +197,83 @@ def topic_matches(filt: str | tuple[str, ...], topic: str | tuple[str, ...]) -> 
         if level != "+" and level != t[i]:
             return False
     return len(f) == len(t)
+
+
+V = TypeVar("V")
+
+
+class TopicTree(Generic[V]):
+    """Values indexed by topic filter, matched with :func:`topic_matches` semantics.
+
+    Each node is a ``TopicTree``: ``children`` maps one filter level to the
+    node below it, and ``values`` holds what was added under the filter that
+    ends at this node. ``match`` walks the exact, ``+`` and ``#`` children of
+    every live node level by level, so a lookup costs O(levels + matches)
+    however many filters are stored. Values come back in tree order.
+    """
+
+    __slots__ = ("children", "values")
+
+    def __init__(self) -> None:
+        self.children: dict[str, TopicTree[V]] = {}
+        self.values: list[V] = []
+
+    def add(self, levels: tuple[str, ...], value: V) -> None:
+        """Store value under a validated filter's levels."""
+        node = self
+        for level in levels:
+            child = node.children.get(level)
+            if child is None:
+                child = node.children[level] = TopicTree()
+            node = child
+        node.values.append(value)
+
+    def remove(self, levels: tuple[str, ...], value: V) -> None:
+        """Remove one value stored under levels and prune nodes left empty.
+
+        Raises ``KeyError`` if the value is not stored there.
+        """
+        path = [self]
+        for level in levels:
+            child = path[-1].children.get(level)
+            if child is None:
+                raise KeyError(levels)
+            path.append(child)
+        try:
+            path[-1].values.remove(value)
+        except ValueError:
+            raise KeyError(levels) from None
+        for depth in range(len(levels), 0, -1):
+            if path[depth].children or path[depth].values:
+                break
+            del path[depth - 1].children[levels[depth - 1]]
+
+    def match(self, topic_levels: tuple[str, ...]) -> list[V]:
+        """Every value whose filter matches a validated topic name's levels."""
+        out: list[V] = []
+        nodes = [self]
+        for level in topic_levels:
+            below = []
+            for node in nodes:
+                children = node.children
+                child = children.get("#")
+                if child is not None:
+                    out.extend(child.values)
+                child = children.get(level)
+                if child is not None:
+                    below.append(child)
+                child = children.get("+")
+                if child is not None:
+                    below.append(child)
+            if not below:
+                return out
+            nodes = below
+        for node in nodes:
+            out.extend(node.values)
+            child = node.children.get("#")
+            if child is not None:
+                out.extend(child.values)
+        return out
 
 
 # --- primitive encoders -----------------------------------------------------

@@ -60,9 +60,6 @@ class WsConnection:
         self._client_side = client_side
         self.closed = False
 
-    async def send_text(self, text: str) -> None:
-        await self._send(OP_TEXT, text.encode("utf-8"))
-
     def send_text_nowait(self, text: str) -> None:
         """Queue a text frame without awaiting backpressure."""
         if self.closed:

@@ -4,7 +4,10 @@ import asyncio
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sensert import wire
 from sensert.decoders import NormalizedMessage
 from sensert.rts import EventBus, SubscriptionPolicy
 from sensert.rts.bus import BusEnvelope, DerivedEvent, register_event_type
@@ -150,6 +153,75 @@ def test_conservation_exact():
     assert sub.conserved()
     stats = sub.stats()
     assert stats["matched"] == stats["delivered"] + stats["drops"] + stats["stale_drops"] + stats["pending"]
+
+
+def test_same_filter_twice_each_gets_one_copy():
+    bus = EventBus()
+    a, b = bus.subscribe("feed/+/y"), bus.subscribe("feed/+/y")
+    bus.publish("feed/x/y", 1)
+    for sub in (a, b):
+        assert sub.get_nowait().body == 1
+        assert sub.get_nowait() is None
+
+
+def test_unsubscribe_twice_is_harmless():
+    bus = EventBus()
+    gone, kept = bus.subscribe("feed/#"), bus.subscribe("feed/#")
+    bus.unsubscribe(gone)
+    bus.unsubscribe(gone)
+    bus.publish("feed/x/y", 1)
+    assert bus.subscriptions() == [kept]
+    assert gone.pending() == 0
+    assert kept.get_nowait().body == 1
+
+
+# A lone empty level is an empty (invalid) name, so it becomes "/": two empty levels.
+_bus_filter = st.lists(st.sampled_from(["a", "b", "", "+"]), min_size=1, max_size=3).flatmap(
+    lambda levels: st.sampled_from(["/".join(levels) or "/", "/".join(levels + ["#"]), "#"]))
+_bus_address = st.lists(st.sampled_from(["a", "b", ""]), min_size=1, max_size=4).map(
+    lambda levels: "/".join(levels) or "/")
+_bus_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("subscribe"), _bus_filter),
+        st.tuples(st.just("unsubscribe"), st.integers(min_value=0, max_value=63)),
+        st.tuples(st.just("publish"), _bus_address),
+    ),
+    max_size=60,
+)
+
+
+@given(_bus_ops)
+@settings(max_examples=200)
+def test_interleaved_subscribe_unsubscribe_publish_match_linear_model(ops):
+    """Each subscription receives, in publish order, exactly the addresses a
+    linear topic_matches scan over the subscriptions live at publish time
+    selects; unsubscribe may repeat."""
+    bus = EventBus()
+    subs, live, want = [], [], {}
+    for op, arg in ops:
+        if op == "subscribe":
+            sub = bus.subscribe(arg, SubscriptionPolicy(queue_capacity=64))
+            subs.append(sub)
+            live.append(sub)
+            want[sub] = []
+        elif op == "unsubscribe" and subs:
+            sub = subs[arg % len(subs)]
+            bus.unsubscribe(sub)
+            if sub in live:
+                live.remove(sub)
+        elif op == "publish":
+            bus.publish(arg, None)
+            for sub in live:
+                if wire.topic_matches(sub.filter, arg):
+                    want[sub].append(arg)
+    assert bus.subscriptions() == live
+    for sub in subs:
+        got = []
+        while (env := sub.get_nowait()) is not None:
+            got.append(env.address)
+        assert got == want[sub], sub.filter
+        assert sub.matched == len(want[sub])
+        assert sub.conserved()
 
 
 def test_invalid_address_and_filter_rejected():

@@ -233,10 +233,22 @@ def test_validate_topic_levels():
     assert wire.validate_topic("/") == ("", "")
 
 
-@pytest.mark.parametrize("bad", ["", "a/+/b", "a/#", "a\x00b"])
+# The message names the first offending character and its position.
+_TOPIC_ERRORS = {
+    "": "topic must not be empty",
+    "a/+/b": "wildcard '+' not allowed in topic name (position 2)",
+    "a/#": "wildcard '#' not allowed in topic name (position 2)",
+    "a\x00b": "NUL not allowed in topic name (position 1)",
+    "ab/c\x00/+#": "NUL not allowed in topic name (position 4)",
+    "é/#/\x00": "wildcard '#' not allowed in topic name (position 2)",
+}
+
+
+@pytest.mark.parametrize("bad", list(_TOPIC_ERRORS))
 def test_validate_topic_rejects(bad):
-    with pytest.raises(InvalidTopic):
+    with pytest.raises(InvalidTopic) as err:
         wire.validate_topic(bad)
+    assert str(err.value) == _TOPIC_ERRORS[bad]
 
 
 def test_validate_filter_accepts():

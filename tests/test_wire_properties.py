@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -156,20 +157,22 @@ def _valid_filter(levels):
         return False
 
 
+# "" is a level too: "a//b" has three, and "/" has two empty ones.
+_FILTERS = [
+    levels
+    for depth in range(1, 5)
+    for levels in itertools.product(["a", "b", "", "+", "#"], repeat=depth)
+    if _valid_filter(levels)
+]
+_TOPICS = [
+    levels
+    for depth in range(1, 5)
+    for levels in itertools.product(["a", "b", ""], repeat=depth)
+]
+
+
 def test_matching_equivalence_exhaustive():
-    filter_alphabet = ["a", "b", "+", "#"]
-    topic_alphabet = ["a", "b"]
-    filters = [
-        levels
-        for depth in range(1, 5)
-        for levels in itertools.product(filter_alphabet, repeat=depth)
-        if _valid_filter(levels)
-    ]
-    topics = [
-        levels
-        for depth in range(1, 5)
-        for levels in itertools.product(topic_alphabet, repeat=depth)
-    ]
+    filters, topics = _FILTERS, _TOPICS
     checked = 0
     for f in filters:
         for t in topics:
@@ -178,3 +181,64 @@ def test_matching_equivalence_exhaustive():
             assert got == want, f"filter={f} topic={t}"
             checked += 1
     assert checked > 4_000
+
+
+def _linear(stored, topic):
+    return sorted(v for levels, v in stored if wire.topic_matches(levels, topic))
+
+
+def _assert_tree_agrees(tree, stored):
+    for t in _TOPICS:
+        assert sorted(tree.match(t)) == _linear(stored, t), f"topic={t}"
+
+
+def test_topic_tree_matches_linear_scan_exhaustive():
+    """Random filter sets, with duplicates, added and removed in random order."""
+    rng = random.Random(0x7EE)
+    for _ in range(60):
+        tree = wire.TopicTree()
+        stored = []  # (levels, value); values are distinct even for equal filters
+        for value in range(rng.randint(1, 40)):
+            levels = rng.choice(_FILTERS)
+            tree.add(levels, value)
+            stored.append((levels, value))
+            if rng.random() < 0.3:
+                levels, gone = stored.pop(rng.randrange(len(stored)))
+                tree.remove(levels, gone)
+        _assert_tree_agrees(tree, stored)
+        while stored:
+            levels, gone = stored.pop(rng.randrange(len(stored)))
+            tree.remove(levels, gone)
+            if rng.random() < 0.2:
+                _assert_tree_agrees(tree, stored)
+        assert tree.children == {} and tree.values == []
+        assert all(tree.match(t) == [] for t in _TOPICS)
+
+
+@given(st.lists(topic_filters(), min_size=1, max_size=12), st.lists(topic_names(), max_size=12),
+       st.data())
+@settings(max_examples=200)
+def test_topic_tree_matches_linear_scan(filters, topics, data):
+    tree = wire.TopicTree()
+    stored = [(wire.validate_filter(f), i) for i, f in enumerate(filters)]
+    for levels, value in stored:
+        tree.add(levels, value)
+    removed = data.draw(st.lists(st.sampled_from(stored), unique=True))
+    for levels, value in removed:
+        tree.remove(levels, value)
+    kept = [entry for entry in stored if entry not in removed]
+    for topic in topics:
+        t = wire.validate_topic(topic)
+        assert sorted(tree.match(t)) == _linear(kept, t)
+    for levels, value in kept:
+        tree.remove(levels, value)
+    assert tree.children == {} and tree.values == []
+
+
+def test_topic_tree_remove_missing_raises():
+    tree = wire.TopicTree()
+    tree.add(("a", "+"), 1)
+    for levels, value in ((("a", "+"), 2), (("a",), 1), (("a", "+", "c"), 1)):
+        with pytest.raises(KeyError):
+            tree.remove(levels, value)
+    assert tree.match(("a", "x")) == [1]
