@@ -4,8 +4,11 @@ One asyncio task per connection plus a synchronous routing core. The publish
 path never blocks on any subscriber socket: every subscriber (client session
 or bridge-out forwarder) owns a drop-oldest :class:`~sensert.pipe.BoundedQueue`
 drained by its own task. Bridges connect out to a remote broker and
-republish in, out, or both directions; loop prevention is by ingress-link
-exclusion, so a message is never echoed back over the link it arrived on.
+republish in, out, or both directions; bridge-in traffic arrives through the
+bridge client's inbound queue. Loop prevention is by ingress-link exclusion,
+so a message is never echoed back over the link it arrived on. There is no
+retained-message store, so every routed PUBLISH goes out with RETAIN 0
+(MQTT 3.1.1, MQTT-3.3.1-9).
 """
 
 from __future__ import annotations
@@ -69,20 +72,20 @@ class BrokerStats:
 
 class _Subscriber:
     """A routing target: a ClientSession or, used as is, a bridge's outbound
-    forwarder. Queues (topic, payload, retain) in one drop-oldest queue."""
+    forwarder. Queues (topic, payload) in one drop-oldest queue."""
 
     def __init__(self, link_id: int, max_queue: int, stats: BrokerStats):
         self.link_id = link_id
         # raw filter string -> pre-split levels (dict dedups by filter string)
         self.filters: dict[str, tuple[str, ...]] = {}
-        self.queue: BoundedQueue[tuple[str, bytes, bool]] = BoundedQueue(max_queue)
+        self.queue: BoundedQueue[tuple[str, bytes]] = BoundedQueue(max_queue)
         self._stats = stats
 
     def matches(self, topic_levels: tuple[str, ...]) -> bool:
         return any(wire.topic_matches(f, topic_levels) for f in self.filters.values())
 
-    def deliver(self, topic: str, payload: bytes, retain: bool) -> None:
-        if not self.queue.put((topic, payload, retain)):
+    def deliver(self, topic: str, payload: bytes) -> None:
+        if not self.queue.put((topic, payload)):
             self._stats.drops += 1
 
 
@@ -100,8 +103,8 @@ class ClientSession(_Subscriber):
         queue = self.queue
         try:
             while not queue.closed:
-                topic, payload, retain = await queue.get()
-                self.writer.write(wire.encode_packet(wire.Publish(topic, payload, retain)))
+                topic, payload = await queue.get()
+                self.writer.write(wire.encode_packet(wire.Publish(topic, payload)))
                 await self.writer.drain()
                 self._stats.msgs_out += 1
         except (ConnectionError, OSError):
@@ -168,7 +171,7 @@ class Broker:
     # --- routing core --------------------------------------------------------
 
     def route_publish(self, origin_link: int, topic: str, payload: bytes,
-                      retain: bool = False, from_bridge: bool = False) -> int:
+                      from_bridge: bool = False) -> int:
         """Deliver to every subscriber with a matching filter, at most once
         each, never back over the origin link. Returns sessions targeted."""
         self.stats.msgs_in += 1
@@ -180,7 +183,7 @@ class Broker:
             if sub.link_id == origin_link:
                 continue
             if sub.matches(topic_levels):
-                sub.deliver(topic, payload, retain)
+                sub.deliver(topic, payload)
                 count += 1
         return count
 
@@ -210,8 +213,10 @@ class Broker:
         return len(self._by_client_id)
 
     def pending_frames(self) -> int:
-        """Frames queued towards subscribers (sessions and bridges) but not yet written."""
-        return sum(s.queue.pending for s in self._subscribers.values())
+        """Frames queued towards subscribers (sessions and bridges) but not yet
+        written, plus bridged-in publishes not yet routed."""
+        return (sum(s.queue.pending for s in self._subscribers.values())
+                + sum(b.inbound_pending() for b in self._bridges))
 
     # --- connection handling --------------------------------------------------
 
@@ -220,8 +225,9 @@ class Broker:
         session: ClientSession | None = None
         buf = bytearray()
         try:
-            connect, buf = await asyncio.wait_for(
-                self._read_first_packet(reader, buf), CONNECT_TIMEOUT_S)
+            connect = await asyncio.wait_for(wire.read_packet(reader, buf), CONNECT_TIMEOUT_S)
+            if connect is None:
+                raise ConnectionError("EOF before CONNECT")
             if not isinstance(connect, wire.Connect):
                 raise wire.MalformedPacket(f"first packet must be CONNECT, got {type(connect).__name__}")
             client_id = connect.client_id or f"anon-{next(self._anon)}"
@@ -240,7 +246,7 @@ class Broker:
             await writer.drain()
             session.writer_task = asyncio.create_task(session.run_writer())
             await self._session_loop(reader, session, buf)
-        except (asyncio.TimeoutError, ConnectionError, OSError, asyncio.IncompleteReadError):
+        except (asyncio.TimeoutError, ConnectionError, OSError):
             pass
         except wire.MalformedPacket as exc:
             log.warning("broker %s: protocol violation from %s: %s", self.name, peer, exc)
@@ -253,32 +259,11 @@ class Broker:
                 except Exception:
                     pass
 
-    async def _read_first_packet(self, reader, buf: bytearray):
-        while True:
-            result = wire.decode_packet(buf)
-            if result is not None:
-                pkt, consumed = result
-                del buf[:consumed]
-                return pkt, buf
-            chunk = await reader.read(4096)
-            if not chunk:
-                raise ConnectionError("EOF before CONNECT")
-            buf += chunk
-
     async def _session_loop(self, reader, session: ClientSession, buf: bytearray) -> None:
-        while True:
-            result = wire.decode_packet(buf)
-            if result is None:
-                chunk = await reader.read(4096)
-                if not chunk:
-                    return
-                buf += chunk
-                continue
-            pkt, consumed = result
-            del buf[:consumed]
+        while (pkt := await wire.read_packet(reader, buf)) is not None:
             session.last_seen = time.monotonic()
             if isinstance(pkt, wire.Publish):
-                self.route_publish(session.link_id, pkt.topic, pkt.payload, pkt.retain)
+                self.route_publish(session.link_id, pkt.topic, pkt.payload)
             elif isinstance(pkt, wire.Subscribe):
                 suback = self.handle_subscribe(session, pkt)
                 session.writer.write(wire.encode_packet(suback))
@@ -341,6 +326,10 @@ class Bridge:
         if self._task is None:
             self._task = asyncio.create_task(self._run())
 
+    def inbound_pending(self) -> int:
+        client = self._client
+        return client.inbound_pending() if client is not None else 0
+
     async def stop(self) -> None:
         self._stopping = True
         for task in (self._task, self._forward_task):
@@ -358,7 +347,7 @@ class Bridge:
             client = await connect_with_backoff(lambda: MqttClient.connect(
                 self.rule.remote_host, self.rule.remote_port,
                 client_id=f"bridge-{self.broker.name}-{self.link_id}",
-                keep_alive_s=30, on_message=self._on_remote_message))
+                keep_alive_s=30))
             self._client = client
             try:
                 if self.rule.direction in ("in", "both"):
@@ -366,7 +355,7 @@ class Bridge:
                 if self._out_sub is not None:
                     self._forward_task = asyncio.create_task(self._forward_out(client))
                 self.connected.set()
-                await client.wait_closed()
+                await self._forward_in(client)
             except (MqttError, ConnectionError, OSError, asyncio.TimeoutError):
                 pass
             finally:
@@ -378,16 +367,19 @@ class Bridge:
                 await client.close()
                 self._client = None
 
-    def _on_remote_message(self, topic: str, payload: bytes, retain: bool) -> None:
-        local_topic = f"{self.rule.local_prefix}/{topic}" if self.rule.local_prefix else topic
-        self.broker.route_publish(self.link_id, local_topic, payload, retain, from_bridge=True)
+    async def _forward_in(self, client: MqttClient) -> None:
+        """Route what the remote sends until the connection closes (MqttError)."""
+        prefix = f"{self.rule.local_prefix}/" if self.rule.local_prefix else ""
+        while True:
+            topic, payload, _retain = await client.next_message()
+            self.broker.route_publish(self.link_id, prefix + topic, payload, from_bridge=True)
 
     async def _forward_out(self, client: MqttClient) -> None:
         assert self._out_sub is not None
         try:
             while True:
-                topic, payload, retain = await self._out_sub.queue.get()
-                await client.publish(topic, payload, retain)
+                topic, payload = await self._out_sub.queue.get()
+                await client.publish(topic, payload)
         except (MqttError, ConnectionError, OSError):
             pass
 

@@ -327,8 +327,9 @@ class DecoderRegistry:
             raise
         except Exception as exc:
             raise DecodeError(f"decoder {spec.name} failed: {exc}") from exc
-        if not msg.device_id:
-            raise DecodeError(f"decoder {spec.name} produced empty device id")
+        if not msg.device_id or msg.device_id in (".", ".."):
+            # each becomes a path level under the filer's data root
+            raise DecodeError(f"decoder {spec.name} produced device id {msg.device_id!r}")
         if msg.ts > m.received_at + CLOCK_SKEW_ALLOWANCE_MS:
             msg.ts = m.received_at
             self.stats.ts_clamped += 1

@@ -6,14 +6,11 @@ import asyncio
 import itertools
 import logging
 import uuid
-from typing import Awaitable, Callable, Optional
 
 from . import wire
 from .pipe import BoundedQueue, QueueClosed
 
 log = logging.getLogger(__name__)
-
-MessageHandler = Callable[[str, bytes, bool], Optional[Awaitable[None]]]
 
 
 class MqttError(ConnectionError):
@@ -23,19 +20,18 @@ class MqttError(ConnectionError):
 class MqttClient:
     """QoS-0 clean-session client over plaintext TCP.
 
-    Incoming publishes go to the ``on_message`` callback when given, else to
-    a drop-newest inbound queue drained via :meth:`next_message`.
+    Every incoming publish goes to one drop-newest inbound queue, drained via
+    :meth:`next_message`.
     """
 
     def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
-                 client_id: str, keep_alive_s: int, on_message: MessageHandler | None):
+                 client_id: str, keep_alive_s: int):
         self._reader = reader
         self._writer = writer
+        self._buf = bytearray()
         self.client_id = client_id
         self._keep_alive_s = keep_alive_s
-        self._on_message = on_message
         self.inbound: BoundedQueue[tuple[str, bytes, bool]] = BoundedQueue(65536, "drop_newest")
-        self._pushback = b""
         self._pending: dict[int, asyncio.Future] = {}
         self._packet_ids = itertools.cycle(range(1, 0x10000))
         self._closed = asyncio.Event()
@@ -43,14 +39,15 @@ class MqttClient:
 
     @classmethod
     async def connect(cls, host: str, port: int, client_id: str | None = None,
-                      keep_alive_s: int = 60, on_message: MessageHandler | None = None,
-                      timeout: float = 5.0) -> "MqttClient":
+                      keep_alive_s: int = 60, timeout: float = 5.0) -> "MqttClient":
         reader, writer = await asyncio.wait_for(asyncio.open_connection(host, port), timeout)
-        client = cls(reader, writer, client_id or f"c-{uuid.uuid4().hex[:10]}",
-                     keep_alive_s, on_message)
+        client = cls(reader, writer, client_id or f"c-{uuid.uuid4().hex[:10]}", keep_alive_s)
         writer.write(wire.encode_packet(wire.Connect(client.client_id, keep_alive_s=keep_alive_s)))
         await writer.drain()
-        pkt = await asyncio.wait_for(client._read_packet(), timeout)
+        pkt = await asyncio.wait_for(wire.read_packet(reader, client._buf), timeout)
+        if pkt is None:
+            writer.close()
+            raise MqttError("connection closed during handshake")
         if not isinstance(pkt, wire.Connack):
             writer.close()
             raise MqttError(f"expected CONNACK, got {pkt!r}")
@@ -108,7 +105,7 @@ class MqttClient:
         await asyncio.wait_for(fut, timeout)
 
     async def next_message(self, timeout: float | None = None) -> tuple[str, bytes, bool]:
-        """(topic, payload, retain) of the next publish; only without on_message.
+        """(topic, payload, retain) of the next publish.
 
         Raises MqttError once the connection is closed and the queue drained.
         """
@@ -133,50 +130,20 @@ class MqttClient:
 
     # --- internals ---------------------------------------------------------
 
-    async def _read_packet(self) -> wire.Packet:
-        buf = bytearray()
-        while True:
-            result = wire.decode_packet(buf)
-            if result is not None:
-                pkt, consumed = result
-                del buf[:consumed]
-                self._pushback = bytes(buf)
-                return pkt
-            chunk = await self._reader.read(4096)
-            if not chunk:
-                raise MqttError("connection closed during handshake")
-            buf += chunk
-
     async def _read_loop(self) -> None:
-        buf = bytearray(self._pushback)
         try:
-            while True:
-                result = wire.decode_packet(buf)
-                if result is None:
-                    chunk = await self._reader.read(4096)
-                    if not chunk:
-                        break
-                    buf += chunk
-                    continue
-                pkt, consumed = result
-                del buf[:consumed]
-                await self._dispatch(pkt)
-        except (ConnectionError, OSError, asyncio.IncompleteReadError):
+            while (pkt := await wire.read_packet(self._reader, self._buf)) is not None:
+                self._dispatch(pkt)
+        except (ConnectionError, OSError):
             pass
         except wire.MalformedPacket as exc:
             log.warning("client %s: malformed frame from broker: %s", self.client_id, exc)
-        except asyncio.CancelledError:
-            raise
         finally:
             self._shutdown()
 
-    async def _dispatch(self, pkt: wire.Packet) -> None:
+    def _dispatch(self, pkt: wire.Packet) -> None:
         if isinstance(pkt, wire.Publish):
-            if self._on_message is not None:
-                res = self._on_message(pkt.topic, pkt.payload, pkt.retain)
-                if asyncio.iscoroutine(res):
-                    await res
-            elif not self.inbound.put((pkt.topic, pkt.payload, pkt.retain)):
+            if not self.inbound.put((pkt.topic, pkt.payload, pkt.retain)):
                 log.warning("client %s: inbound queue full, dropping", self.client_id)
         elif isinstance(pkt, (wire.Suback, wire.Unsuback)):
             fut = self._pending.pop(pkt.packet_id, None)

@@ -1,8 +1,9 @@
 """The pipeline's shared primitives: one drop-queue, one reconnect policy, one clock.
 
-Every hop that decouples a producer from a consumer (broker sessions and
-bridge-out forwarders, an MQTT client's inbound queue, event-bus
-subscriptions) is a :class:`BoundedQueue`. ``put`` never blocks: when the
+Every hop that decouples a producer from a consumer is a
+:class:`BoundedQueue`: broker sessions, bridge-out forwarders, every MQTT
+client's inbound queue (a bridge's client too, so bridge-in traffic is
+counted), and event-bus subscriptions. ``put`` never blocks: when the
 queue is full it drops by policy and counts the drop, so at every moment
 
     offered = delivered + dropped + pending

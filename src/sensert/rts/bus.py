@@ -97,9 +97,7 @@ class SubscriptionPolicy:
 class Subscription:
     """Async message source for one filter; owned by exactly one consumer."""
 
-    def __init__(self, bus: "EventBus", filter_raw: str, policy: SubscriptionPolicy,
-                 owner: str = ""):
-        self.bus = bus
+    def __init__(self, filter_raw: str, policy: SubscriptionPolicy, owner: str = ""):
         self.filter = filter_raw
         self.filter_levels = wire.validate_filter(filter_raw)
         self.policy = policy
@@ -187,7 +185,7 @@ class EventBus:
 
     def subscribe(self, filter_raw: str, policy: SubscriptionPolicy | None = None,
                   owner: str = "") -> Subscription:
-        sub = Subscription(self, filter_raw, policy or SubscriptionPolicy(), owner=owner)
+        sub = Subscription(filter_raw, policy or SubscriptionPolicy(), owner=owner)
         self._subs.append(sub)
         self._tree.add(sub.filter_levels, sub)
         return sub

@@ -314,11 +314,13 @@ class MessageRouter(Verticle):
 
     async def start(self, bus) -> None:
         await super().start(bus)
-        for route in self.routes:
+        for index, route in enumerate(self.routes):
             sub = self.subscribe(route.filter, SubscriptionPolicy(queue_capacity=10_000))
-            self.spawn(self._pump(route, sub))
+            self.spawn(self._pump(index, route, sub))
 
-    async def _pump(self, route: RouteRule, sub) -> None:
+    async def _pump(self, index: int, route: RouteRule, sub) -> None:
+        # one client id per route: two routes to one peer must not supersede each other
+        client_id = f"rts-router-{id(self) & 0xFFFF}-{index}"
         host, _, port = route.remote.rpartition(":")
         client: MqttClient | None = None
         pending: tuple[str, bytes] | None = None
@@ -335,8 +337,7 @@ class MessageRouter(Verticle):
                         payload = json.dumps(body).encode()
                     pending = (route.topic_template.format(address=env.address), payload)
                 if client is None or client.closed:
-                    client = await _backoff_connect(host, int(port),
-                                                    client_id=f"rts-router-{id(self) & 0xFFFF}")
+                    client = await _backoff_connect(host, int(port), client_id=client_id)
                 try:
                     await client.publish(pending[0], pending[1])
                     self.forwarded += 1

@@ -424,10 +424,15 @@ class ZigbeeTranslator:
                 while (text := await ws.recv_text()) is not None:
                     try:
                         event = json.loads(text)
-                        device = str(event.get("id", "unknown"))
-                    except (ValueError, TypeError):
+                    except ValueError:
                         continue
-                    await client.publish(f"zigbee/{device}/state", text.encode())
+                    if not isinstance(event, dict):
+                        continue
+                    try:
+                        await client.publish(f"zigbee/{event.get('id', 'unknown')}/state",
+                                             text.encode())
+                    except ValueError:  # the id makes no valid topic name
+                        continue
                     self.forwarded += 1
             except (ConnectionError, OSError, asyncio.TimeoutError):
                 pass

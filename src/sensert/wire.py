@@ -5,11 +5,13 @@ fixed header (packet type in the high nibble of byte 0, remaining-length
 varint) followed by the per-type variable header and payload. Strings are
 16-bit big-endian length prefixed UTF-8. Decoding is incremental: a partial
 frame is signalled by returning ``None`` (never an exception), so callers can
-accumulate TCP segments in a growable buffer.
+accumulate TCP segments in a growable buffer; :func:`read_packet` does that
+for an asyncio stream and is the one receive loop of every MQTT hop.
 """
 
 from __future__ import annotations
 
+import asyncio
 import struct
 from dataclasses import dataclass
 from typing import Generic, TypeVar, Union
@@ -433,6 +435,22 @@ def decode_packet(data: bytes | bytearray | memoryview) -> tuple[Packet, int] | 
             packet = Disconnect()
     body.expect_end()
     return packet, total
+
+
+async def read_packet(reader: asyncio.StreamReader, buf: bytearray) -> Packet | None:
+    """The next frame from ``reader``, or None once the stream ends.
+
+    ``buf`` keeps the bytes read past a frame for the next call, so one buffer
+    follows one stream from start to end. MalformedPacket propagates.
+    """
+    while (result := decode_packet(buf)) is None:
+        chunk = await reader.read(4096)
+        if not chunk:
+            return None
+        buf += chunk
+    packet, consumed = result
+    del buf[:consumed]
+    return packet
 
 
 def _nonzero_packet_id(pid: int) -> int:

@@ -78,14 +78,22 @@ class WsConnection:
             raise WsError(str(exc)) from exc
 
     async def recv_text(self) -> str | None:
-        """Next text payload, or None once the peer closes."""
+        """Next text payload, or None once the connection ends.
+
+        A text frame that is not valid UTF-8 closes the connection
+        (RFC 6455 section 8.1).
+        """
         while True:
             frame = await self._recv_frame()
             if frame is None:
                 return None
             opcode, payload = frame
             if opcode == OP_TEXT:
-                return payload.decode("utf-8")
+                try:
+                    return payload.decode("utf-8")
+                except UnicodeDecodeError:
+                    await self.close()
+                    return None
             if opcode == OP_PING:
                 await self._send(OP_PONG, payload)
             elif opcode == OP_CLOSE:

@@ -232,3 +232,64 @@ def test_three_broker_aggregation():
         await zig.stop()
 
     run(main())
+
+
+def test_routed_publishes_carry_retain_0():
+    """No retained-message store, so RETAIN is 0 towards established
+    subscriptions (MQTT-3.3.1-9), locally and over a bridge either way."""
+
+    async def main():
+        remote = await _broker("remote")
+        local = await _broker("local")
+        bridge = local.add_bridge(BridgeRule(
+            remote=f"127.0.0.1:{remote.address[1]}", direction="both", filter="t/#"))
+        await _wait_connected(bridge)
+        local_sub = await MqttClient.connect(*local.address)
+        await local_sub.subscribe(["t/#"])
+        remote_sub = await MqttClient.connect(*remote.address)
+        await remote_sub.subscribe(["t/#"])
+
+        local_pub = await MqttClient.connect(*local.address)
+        await local_pub.publish("t/out", b"1", retain=True)
+        assert await local_sub.next_message(timeout=3) == ("t/out", b"1", False)
+        assert await remote_sub.next_message(timeout=3) == ("t/out", b"1", False)
+
+        remote_pub = await MqttClient.connect(*remote.address)
+        await remote_pub.publish("t/in", b"2", retain=True)
+        assert await remote_sub.next_message(timeout=3) == ("t/in", b"2", False)
+        assert await local_sub.next_message(timeout=3) == ("t/in", b"2", False)
+
+        for c in (local_sub, remote_sub, local_pub, remote_pub):
+            await c.close()
+        await local.stop()
+        await remote.stop()
+
+    run(main())
+
+
+def test_bridge_in_goes_through_the_client_inbound_queue():
+    async def main():
+        n = 50
+        remote = await _broker("remote")
+        local = await _broker("local")
+        bridge = local.add_bridge(BridgeRule(
+            remote=f"127.0.0.1:{remote.address[1]}", direction="in", filter="#"))
+        await _wait_connected(bridge)
+        sub = await MqttClient.connect(*local.address)
+        await sub.subscribe(["#"])
+        pub = await MqttClient.connect(*remote.address)
+        for i in range(n):
+            await pub.publish(f"d/{i}", b"x")
+        got = [(await sub.next_message(timeout=3))[0] for _ in range(n)]
+        assert got == [f"d/{i}" for i in range(n)]
+
+        inbound = bridge._client.inbound
+        assert (inbound.offered, inbound.delivered, inbound.dropped) == (n, n, 0)
+        assert inbound.conserved()
+        assert local.pending_frames() == 0
+        await sub.close()
+        await pub.close()
+        await local.stop()
+        await remote.stop()
+
+    run(main())

@@ -378,3 +378,25 @@ def test_broker_config_parsing():
     assert cfg.bridges[0].local_prefix == "ttn"
     with pytest.raises(ValueError):
         BridgeRule(remote="x:1", direction="sideways")
+
+
+def test_publish_in_the_connack_segment_is_not_lost():
+    """Bytes read past the CONNACK belong to the next frame."""
+
+    async def main():
+        async def peer(reader, writer):
+            await reader.read(4096)  # the CONNECT
+            writer.write(wire.encode_packet(wire.Connack(return_code=0))
+                         + wire.encode_packet(wire.Publish("t", b"early")))
+            await writer.drain()
+            await reader.read()  # until the client hangs up
+            writer.close()
+
+        server = await asyncio.start_server(peer, "127.0.0.1", 0)
+        client = await MqttClient.connect(*server.sockets[0].getsockname()[:2], keep_alive_s=0)
+        assert await client.next_message(timeout=2) == ("t", b"early", False)
+        await client.close()
+        server.close()
+        await server.wait_closed()
+
+    run(main())

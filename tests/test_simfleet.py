@@ -29,6 +29,7 @@ from sensert.simfleet import (
     save_fleet,
     stable_seed,
 )
+from sensert.ws import OP_TEXT, ws_handshake_server
 
 
 def run(coro):
@@ -292,6 +293,43 @@ def test_deconz_ws_to_translator_to_broker():
         await sub.close()
         await translator.stop()
         await server.stop()
+        await zigbee.stop()
+
+    run(main())
+
+
+@pytest.mark.parametrize("bad", [b"[1, 2]", b'"text"', b"\xff\xfe{}", b'{"id": "a+b"}'],
+                         ids=["json-array", "json-string", "invalid-utf8", "wildcard-id"])
+def test_bad_gateway_frame_does_not_end_zigbee_stream(bad):
+    async def main():
+        zigbee = Broker(name="zigbee")
+        await zigbee.start("127.0.0.1", 0)
+        sub = await _collect(zigbee, ["zigbee/#"])
+        connections = 0
+
+        async def gateway(reader, writer):
+            # the first connection sends the bad frame before a valid event
+            nonlocal connections
+            connections += 1
+            await ws_handshake_server(reader, writer)
+            good = json.dumps({"id": "m1", "state": {"presence": True}}).encode()
+            for text in ([bad] if connections == 1 else []) + [good]:
+                writer.write(bytes([0x80 | OP_TEXT, len(text)]) + text)
+            await writer.drain()
+            await reader.read()  # until the translator hangs up
+            writer.close()
+
+        server = await asyncio.start_server(gateway, "127.0.0.1", 0)
+        translator = ZigbeeTranslator(*server.sockets[0].getsockname()[:2], *zigbee.address)
+        await translator.start()
+        topic, payload, _ = await sub.next_message(timeout=5)
+        assert (topic, json.loads(payload)["id"]) == ("zigbee/m1/state", "m1")
+        assert translator.forwarded == 1
+
+        await sub.close()
+        await translator.stop()
+        server.close()
+        await server.wait_closed()
         await zigbee.stop()
 
     run(main())

@@ -161,6 +161,53 @@ def test_non_positive_reading_time_is_deadlettered(tmp_path, bad_time):
     run(main())
 
 
+_RECEIVED_AT = {"Time": "2020-06-01T10:00:00Z", "received_at": "2020-06-01T10:00:00Z"}
+
+
+@pytest.mark.parametrize("device", [".", ".."])
+@pytest.mark.parametrize("topic,payload", [
+    ("tele/{device}/SENSOR", {"ENERGY": {"Power": 1.0}}),
+    ("v3/app/devices/x/up", {"end_device_ids": {"device_id": "{device}"}}),
+    ("zigbee/x/state", {"id": "{device}", "state": {"presence": True}}),
+], ids=["plug-topic", "ttn-device_id", "zigbee-id"])
+def test_path_device_id_is_deadlettered(tmp_path, device, topic, payload):
+    """A device id names a directory under the data root: `.` and `..` must
+    not reach the filer."""
+
+    async def main():
+        root = tmp_path / "root"
+        broker = Broker()
+        await broker.start("127.0.0.1", 0)
+        rts = RealTimeServer()
+        dead_sub = rts.bus.subscribe("feed/deadletter")
+        filer = MessageFiler(root)
+        await rts.deploy(FeedHandler(*broker.address))
+        await rts.deploy(filer)
+        await asyncio.sleep(0.3)
+
+        pub = await MqttClient.connect(*broker.address)
+        body = json.dumps({**payload, **_RECEIVED_AT}).replace("{device}", device)
+        await pub.publish(topic.format(device=device), body.encode())
+        env = await asyncio.wait_for(dead_sub.get(), 3)
+        assert f"device id {device!r}" in env.body.reason
+
+        await pub.publish("tele/p1/SENSOR", json.dumps(
+            {"Time": "2020-06-01T10:00:00Z", "ENERGY": {"Power": 0.0}}).encode())
+        for _ in range(100):
+            if filer.lines_written:
+                break
+            await asyncio.sleep(0.01)
+        assert filer.lines_written == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["root"]
+        assert [p.name for p in root.iterdir()] == ["p1"]
+
+        await pub.close()
+        await rts.stop()
+        await broker.stop()
+
+    run(main())
+
+
 # --- messagefiler -----------------------------------------------------------------
 
 def test_filer_paths_and_latest(tmp_path):
@@ -409,6 +456,37 @@ def test_router_buffers_while_remote_down_then_flushes_in_order():
         await sub.close()
         await rts.stop()
         await remote.stop()
+
+    run(main())
+
+
+def test_two_routes_to_one_peer_keep_one_session_each():
+    async def main():
+        peer = Broker(name="peer")
+        await peer.start("127.0.0.1", 0)
+        remote = f"127.0.0.1:{peer.address[1]}"
+        rts = RealTimeServer()
+        router = MessageRouter([RouteRule(filter="feed/ttn/#", remote=remote),
+                                RouteRule(filter="feed/smartplug/#", remote=remote)])
+        sub = await MqttClient.connect(*peer.address)
+        await sub.subscribe(["normalized/#"])
+        await rts.deploy(router)
+        await asyncio.sleep(0.3)
+
+        n = 40
+        for i in range(n):
+            rts.bus.publish("feed/ttn/c", NormalizedMessage("c", 1 + i, "ttn", {"n": i}, b"{}", 1))
+            rts.bus.publish("feed/smartplug/p", plug_msg("p", ts=1 + i, n=i))
+        got = {"normalized/feed/ttn/c": [], "normalized/feed/smartplug/p": []}
+        for _ in range(2 * n):
+            topic, payload, _ = await sub.next_message(timeout=5)
+            got[topic].append(json.loads(payload)["cooked"]["n"])
+        assert got == {topic: list(range(n)) for topic in got}
+        assert peer.live_sessions == 3  # both routes and the subscriber
+
+        await sub.close()
+        await rts.stop()
+        await peer.stop()
 
     run(main())
 

@@ -1,5 +1,7 @@
 """Codec unit tests with hand-encoded MQTT 3.1.1 frames as the oracle."""
 
+import asyncio
+
 import pytest
 
 from sensert import wire
@@ -224,6 +226,73 @@ def test_decode_consumes_only_first_frame():
     pkt2, consumed2 = wire.decode_packet((a + b)[consumed:])
     assert pkt2 == Publish(topic="x", payload=b"1")
     assert consumed2 == len(b)
+
+
+# --- reading frames from a stream --------------------------------------------
+
+class _Chunks:
+    """A stream whose reads return the given chunks in order, then EOF."""
+
+    def __init__(self, chunks):
+        self._chunks = list(chunks)
+
+    async def read(self, n):
+        assert n > 0
+        return self._chunks.pop(0) if self._chunks else b""
+
+
+_STREAM = [
+    Connack(return_code=0),
+    Publish(topic="a/b", payload=b"x" * 300),  # two-byte remaining length
+    Pingresp(),
+    Suback(packet_id=7, granted=(0, 0x80)),
+    Publish(topic="t", payload=b"", retain=True),
+    Unsuback(packet_id=9),
+]
+_STREAM_BYTES = b"".join(wire.encode_packet(p) for p in _STREAM)
+
+
+async def _read_all(chunks):
+    reader, buf, got = _Chunks(chunks), bytearray(), []
+    while (pkt := await wire.read_packet(reader, buf)) is not None:
+        got.append(pkt)
+    assert await wire.read_packet(reader, buf) is None  # EOF stays EOF
+    return got
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 64, len(_STREAM_BYTES)])
+def test_read_packet_in_order_for_any_chunk_size(size):
+    """Size 1 splits every frame at every byte; larger sizes carry several
+    frames, and the start of the next, in one chunk."""
+    data = _STREAM_BYTES
+    chunks = [data[i:i + size] for i in range(0, len(data), size)]
+    assert asyncio.run(_read_all(chunks)) == _STREAM
+
+
+def test_read_packet_split_at_every_offset():
+    async def main():
+        data = _STREAM_BYTES
+        for cut in range(1, len(data)):
+            assert await _read_all([data[:cut], data[cut:]]) == _STREAM, f"cut at {cut}"
+
+    asyncio.run(main())
+
+
+def test_read_packet_none_at_eof():
+    assert asyncio.run(_read_all([])) == []
+    # a stream that ends inside a frame ends like any other
+    frame = wire.encode_packet(Pingresp())
+    assert asyncio.run(_read_all([frame + frame[:1]])) == [Pingresp()]
+
+
+def test_read_packet_malformed_propagates():
+    async def main():
+        reader, buf = _Chunks([wire.encode_packet(Pingresp()) + bytes([0xF0, 0x00])]), bytearray()
+        assert await wire.read_packet(reader, buf) == Pingresp()
+        with pytest.raises(MalformedPacket):
+            await wire.read_packet(reader, buf)
+
+    asyncio.run(main())
 
 
 # --- topic validation --------------------------------------------------------
