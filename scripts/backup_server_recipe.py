@@ -5,7 +5,8 @@ The primary stack routes every normalized message (feed/#) to a peer broker;
 a backup real-time server ingests the routed stream through the
 normalized-passthrough decoder and files it, so the backup's JSONL store
 tracks the primary's. Promotion is a manual restart pointing clients at the
-backup's monitor; there is no consensus machinery.
+backup's monitor; there is no consensus machinery. Exits 1 when the backup's
+store does not track the primary's.
 """
 
 import asyncio
@@ -22,7 +23,7 @@ from sensert.simfleet import DeviceProfile  # noqa: E402
 from sensert.stack import Stack, StackConfig  # noqa: E402
 
 
-async def main() -> None:
+async def main() -> bool:
     backup_root = Path(tempfile.mkdtemp(prefix="sensert-backup-"))
 
     # primary stack (brokers + rts) plus a router sharing feed/# with the peer
@@ -52,12 +53,14 @@ async def main() -> None:
     print(f"emitted:        {log.counts()}")
     print(f"primary store:  {primary_counts}")
     print(f"backup store:   {backup_counts}")
-    print("backup tracks primary:", backup_counts == primary_counts)
+    tracks = backup_counts == primary_counts
+    print("backup tracks primary:", tracks)
 
     await backup.stop()
     await primary.stop()
     await peer.stop()
+    return tracks
 
 
 if __name__ == "__main__":
-    asyncio.run(main())
+    sys.exit(0 if asyncio.run(main()) else 1)

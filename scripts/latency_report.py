@@ -11,12 +11,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sensert.bench import (  # noqa: E402
-    REFERENCE_MEANS_MS,
-    TAP_POINTS,
-    run_experiment,
-    write_experiment_csvs,
-)
+from sensert.bench import run_experiment, write_experiment_csvs  # noqa: E402
 
 
 async def main() -> None:
@@ -26,25 +21,9 @@ async def main() -> None:
 
     print(f"running {n} sensors at 1 Hz for {duration:.0f}s ...")
     result = await run_experiment(n, duration, seed=42)
-    per_point = result.per_point_stats()
-
-    print(f"\n{'point':<10} {'count':>6} {'mean ms':>9} {'stddev':>8} "
-          f"{'p99 ms':>8} {'reference mean ms':>18}")
-    for point in TAP_POINTS:
-        s = per_point[point]
-        print(f"{point:<10} {s.count:>6} {s.mean_ms:>9.2f} {s.stddev_ms:>8.2f} "
-              f"{s.p99_ms:>8.2f} {REFERENCE_MEANS_MS[point]:>18.2f}")
-    print("\nreference means include real radio first hops (~57 ms) that a "
-          "single-host run does not reproduce; compare shapes, not values.\n")
-
-    print(f"{'category':<16} {'count':>6} {'mean ms':>9} {'p99 ms':>8}")
-    for category, s in result.per_category_stats().items():
-        print(f"{category:<16} {s.count:>6} {s.mean_ms:>9.2f} {s.p99_ms:>8.2f}")
-
-    for warning in result.warnings:
-        print(f"warning: {warning}")
     write_experiment_csvs(result, out_dir)
-    print(f"\nwrote {out_dir}/table2.csv and {out_dir}/fig8b.csv")
+    print((out_dir / "report.txt").read_text())
+    print(f"wrote {out_dir}/table2.csv, {out_dir}/fig8b.csv and {out_dir}/report.txt")
 
 
 if __name__ == "__main__":

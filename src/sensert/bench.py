@@ -1,21 +1,31 @@
 """Latency harness: four tap points, per-category statistics, CSV reports.
 
 Taps sit at the gateway (first hop), the aggregating local broker, the event
-bus and a monitor client; all deltas are measured against the ``sim_t0``
-embedded in every simulated payload, i.e. from the moment of generation at
-the sensor. One host, one clock, so tap ordering is exact. Absolute values
-at desk scale are loopback numbers; the published deployment-scale figures
-(which include real radio first hops) are written alongside for context.
+bus and a monitor client; the stack stamps the first three, the monitor
+client of ``run_experiment`` the fourth. All deltas are measured against the
+``sim_t0`` embedded in every simulated payload, i.e. from the moment of
+generation at the sensor. One host, one clock, so tap ordering is exact.
+Absolute values at desk scale are loopback numbers; the published
+deployment-scale figures (which include real radio first hops) are written
+alongside for context.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .simfleet import DeviceProfile
+from .pipe import now_ms
+from .rts.monitor import MonitorClient
+from .rts.verticles import ThresholdRule
+from .simfleet import DeviceProfile, ScenarioScript
+
+if TYPE_CHECKING:
+    from .stack import StackConfig
 
 TAP_POINTS = ("gateway", "broker", "eventbus", "client")
 
@@ -251,6 +261,15 @@ class ExperimentResult:
     feed_counters: dict[str, int] = field(default_factory=dict)
     data_root: Path | None = None
     warnings: list[str] = field(default_factory=list)
+    events: list[dict] = field(default_factory=list)  # derived events the client received
+    drained: bool = False
+
+    def conserved(self) -> bool:
+        """Every bus subscription conserved; feedhandler in = out + dead letters."""
+        feed = self.feed_counters
+        return (all(row["conserved"] for row in self.audit)
+                and feed.get("received", 0)
+                == feed.get("published", 0) + feed.get("deadlettered", 0))
 
     def per_point_stats(self) -> dict[str, LatencyStats]:
         return per_point_stats(self.taps)
@@ -270,18 +289,47 @@ class ExperimentResult:
 
 
 async def run_experiment(n: int, duration_s: float, seed: int = 0,
-                         data_root: str | Path | None = None) -> ExperimentResult:
-    """Full local stack, n mixed sensors at 1 Hz, taps at all four points."""
+                         data_root: str | Path | None = None,
+                         scenario: ScenarioScript | None = None,
+                         config: StackConfig | None = None) -> ExperimentResult:
+    """Full local stack: n mixed sensors at 1 Hz plus the scenario's devices.
+
+    The stack taps the gateway, broker and event bus; the run's one monitor
+    client, on ``feed/#`` and ``event/#``, taps the client point and
+    collects the derived events. A scenario's threshold rules replace the
+    config's.
+    """
     from .stack import Stack, StackConfig  # deferred: stack builds on this module
 
-    profiles = make_fleet(n)
+    profiles = make_fleet(n) + (scenario.profiles if scenario is not None else [])
+    config = replace(config or StackConfig(), seed=seed)
+    if data_root:
+        config.data_root = Path(data_root)
+    if scenario is not None and scenario.rules:
+        config.rules = [ThresholdRule.from_jsonable(r) for r in scenario.rules]
     taps = TapCollector()
-    config = StackConfig(seed=seed, data_root=Path(data_root) if data_root else None)
+    events: list[dict] = []
     stack = Stack(config, taps=taps)
     await stack.start()
+    client: MonitorClient | None = None
+    pump: asyncio.Task | None = None
+
+    async def pump_lines() -> None:
+        while True:
+            body = (await client.next()).get("body")
+            if not isinstance(body, dict):
+                continue
+            if "event_type" in body:
+                events.append(body)
+            elif body.get("device_id") and isinstance(body.get("sim_t0"), int):
+                taps.tap("client", body["device_id"], body["sim_t0"], now_ms())
+
     try:
-        log_ = await stack.run_fleet(profiles, scenario=None, duration_s=duration_s)
-        await stack.drain()
+        client = await MonitorClient.connect(*stack.monitor.address)
+        await client.subscribe(["feed/#", "event/#"])
+        pump = asyncio.create_task(pump_lines())
+        log_ = await stack.run_fleet(profiles, scenario, duration_s)
+        drained = await stack.drain()
         result = ExperimentResult(
             n=n, duration_s=duration_s, taps=taps,
             categories=categories_of(profiles),
@@ -291,17 +339,24 @@ async def run_experiment(n: int, duration_s: float, seed: int = 0,
             audit=stack.audit(),
             feed_counters=stack.feed_counters(),
             data_root=stack.data_root,
+            events=events,
+            drained=drained,
         )
         result.check_completeness()
         return result
     finally:
+        if pump is not None:
+            pump.cancel()
+            await asyncio.gather(pump, return_exceptions=True)
+        if client is not None:
+            await client.close()
         await stack.stop()
 
 
 def write_report(path: str | Path, result: ExperimentResult) -> None:
     """Desk-scale numbers next to the deployment-scale reference means."""
     lines = [
-        f"latency report: {result.n} sensors at 1 Hz for {result.duration_s:.0f}s",
+        f"latency report: {len(result.categories)} sensors for {result.duration_s:.0f}s",
         f"complete records: {len(result.taps.complete_records())}, "
         f"incomplete: {result.taps.incomplete_count()}",
         "",
@@ -321,7 +376,11 @@ def write_report(path: str | Path, result: ExperimentResult) -> None:
         "reference means are deployment-scale values including real radio",
         "first hops (~57 ms) that a single-host run does not reproduce;",
         "compare shapes, not absolutes.",
+        "",
+        f"{'category':<16} {'count':>6} {'mean_ms':>9} {'p99_ms':>8}",
     ]
+    for category, s in result.per_category_stats().items():
+        lines.append(f"{category:<16} {s.count:>6} {s.mean_ms:>9.2f} {s.p99_ms:>8.2f}")
     for warning in result.warnings:
         lines.append(f"warning: {warning}")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -253,6 +253,7 @@ def decode_normalized_passthrough(m: RawSensorMessage) -> NormalizedMessage:
         raise DecodeError(f"not a normalized record: {exc}") from exc
     msg.original = m.payload
     msg.received_at = m.received_at
+    msg.sim_t0 = _sim_t0(obj)
     return msg
 
 
@@ -279,6 +280,25 @@ def _topic_shape(prefix: str, nlevels: int | None = None, last: str | None = Non
         return True
 
     return matcher
+
+
+def _is_level(value: Any) -> bool:
+    """True if value can be one bus-address level and one directory name.
+
+    That is a str that is non-empty, not ``.`` or ``..``, holds no ``/``,
+    ``+``, ``#`` or NUL, and encodes as UTF-8 (no lone surrogate).
+    """
+    if not isinstance(value, str) or value in ("", ".", ".."):
+        return False
+    if "/" in value or "+" in value or "#" in value or "\x00" in value:
+        return False
+    if value.isascii():
+        return True
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 # --- registry -----------------------------------------------------------------
@@ -327,9 +347,10 @@ class DecoderRegistry:
             raise
         except Exception as exc:
             raise DecodeError(f"decoder {spec.name} failed: {exc}") from exc
-        if not msg.device_id or msg.device_id in (".", ".."):
-            # each becomes a path level under the filer's data root
+        if not _is_level(msg.device_id):
             raise DecodeError(f"decoder {spec.name} produced device id {msg.device_id!r}")
+        if not _is_level(msg.family):
+            raise DecodeError(f"decoder {spec.name} produced family {msg.family!r}")
         if msg.ts > m.received_at + CLOCK_SKEW_ALLOWANCE_MS:
             msg.ts = m.received_at
             self.stats.ts_clamped += 1

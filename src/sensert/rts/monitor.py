@@ -14,7 +14,7 @@ import logging
 from typing import Any
 
 from ..decoders import DeadLetter, NormalizedMessage
-from .bus import DerivedEvent, SubscriptionPolicy, Subscription
+from .bus import DerivedEvent, Subscription
 from .server import Verticle
 
 log = logging.getLogger(__name__)
@@ -29,12 +29,10 @@ def body_to_jsonable(body: Any) -> Any:
 class DataMonitor(Verticle):
     name = "datamonitor"
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 queue_capacity: int = 1024):
+    def __init__(self, host: str = "127.0.0.1", port: int = 0):
         super().__init__()
         self.host = host
         self.port = port
-        self.queue_capacity = queue_capacity
         self.address: tuple[str, int] | None = None
         self.clients_served = 0
         self._server: asyncio.AbstractServer | None = None
@@ -88,9 +86,7 @@ class DataMonitor(Verticle):
                         for f in req.get("filters", []):
                             if f in subs:
                                 continue
-                            sub = self.bus.subscribe(
-                                f, SubscriptionPolicy(queue_capacity=self.queue_capacity),
-                                owner=f"{self.name}-client")
+                            sub = self.bus.subscribe(f, owner=f"{self.name}-client")
                             subs[f] = sub
                             pumps[f] = asyncio.create_task(pump(sub))
                             added.append(f)

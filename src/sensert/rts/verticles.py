@@ -13,7 +13,6 @@ from typing import IO
 
 from ..decoders import (
     DeadLetter,
-    DecoderRegistry,
     NormalizedMessage,
     RawSensorMessage,
     default_registry,
@@ -27,11 +26,6 @@ from .server import Verticle
 log = logging.getLogger(__name__)
 
 
-def _sanitize_level(part: str) -> str:
-    """Device ids become one address level; wildcards/separators are unsafe."""
-    return part.replace("/", "_").replace("+", "_").replace("#", "_") or "_"
-
-
 async def _backoff_connect(host: str, port: int, client_id: str) -> MqttClient:
     return await connect_with_backoff(
         lambda: MqttClient.connect(host, port, client_id=client_id, keep_alive_s=30))
@@ -42,14 +36,11 @@ class FeedHandler(Verticle):
 
     name = "feedhandler"
 
-    def __init__(self, broker_host: str, broker_port: int,
-                 subscribe_filters: tuple[str, ...] = ("#",),
-                 registry: DecoderRegistry | None = None):
+    def __init__(self, broker_host: str, broker_port: int):
         super().__init__()
         self.host = broker_host
         self.port = broker_port
-        self.filters = list(subscribe_filters)
-        self.registry = registry or default_registry()
+        self.registry = default_registry()
         self.received = 0
         self.published = 0
         self.deadlettered = 0
@@ -74,14 +65,14 @@ class FeedHandler(Verticle):
                                             client_id=f"rts-{self.name}")
             self._client = client
             try:
-                await client.subscribe(self.filters)
+                await client.subscribe(["#"])
                 while True:
                     topic, payload, _retain = await client.next_message()
                     self.received += 1
                     raw = RawSensorMessage(topic=topic, payload=payload, received_at=now_ms())
                     result = self.registry.normalize_or_deadletter(raw)
                     if isinstance(result, NormalizedMessage):
-                        address = f"feed/{result.family}/{_sanitize_level(result.device_id)}"
+                        address = f"feed/{result.family}/{result.device_id}"
                         self.bus.publish(address, result, publisher=self.name)
                         self.published += 1
                     else:
@@ -103,10 +94,9 @@ class MessageFiler(Verticle):
 
     name = "messagefiler"
 
-    def __init__(self, data_root: str | Path, subscribe_filter: str = "feed/#"):
+    def __init__(self, data_root: str | Path):
         super().__init__()
         self.data_root = Path(data_root)
-        self.filter = subscribe_filter
         self.lines_written = 0
         self.errors = 0
         self._handles: dict[Path, IO[str]] = {}
@@ -115,7 +105,7 @@ class MessageFiler(Verticle):
     async def start(self, bus) -> None:
         await super().start(bus)
         self.data_root.mkdir(parents=True, exist_ok=True)
-        sub = self.subscribe(self.filter, SubscriptionPolicy(queue_capacity=8192))
+        sub = self.subscribe("feed/#", SubscriptionPolicy(queue_capacity=8192))
         self.spawn(self._run(sub))
 
     async def stop(self) -> None:
@@ -143,7 +133,7 @@ class MessageFiler(Verticle):
 
     def day_path(self, device_id: str, ts: int) -> Path:
         day = datetime.fromtimestamp(ts / 1000.0, tz=timezone.utc)
-        return (self.data_root / _sanitize_level(device_id)
+        return (self.data_root / device_id
                 / f"{day.year:04d}" / f"{day.month:02d}" / f"{day.day:02d}.jsonl")
 
     def _file(self, msg: NormalizedMessage) -> None:
@@ -159,7 +149,7 @@ class MessageFiler(Verticle):
         self._write_latest(msg)
 
     def _write_latest(self, msg: NormalizedMessage) -> None:
-        device_dir = self.data_root / _sanitize_level(msg.device_id)
+        device_dir = self.data_root / msg.device_id
         known = self._latest_ts.get(msg.device_id)
         if known is None:
             latest_path = device_dir / "latest.json"
@@ -246,7 +236,7 @@ class ThresholdWatch(Verticle):
 
     def _emit(self, event_type: str, rule: ThresholdRule, msg: NormalizedMessage, value: float):
         self.bus.publish(
-            f"event/threshold/{_sanitize_level(msg.device_id)}",
+            f"event/threshold/{msg.device_id}",
             DerivedEvent(event_type=event_type, device_id=msg.device_id, ts=msg.ts,
                          attributes={"field": rule.field, "value": value,
                                      "op": rule.op, "threshold": rule.value},
@@ -281,7 +271,7 @@ class RTCoffee(Verticle):
             self._states[msg.device_id] = state
             for event in events:
                 self.bus.publish(
-                    f"event/coffee/{_sanitize_level(msg.device_id)}",
+                    f"event/coffee/{msg.device_id}",
                     event, publisher=self.name)
                 self.events_emitted += 1
 

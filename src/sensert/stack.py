@@ -3,8 +3,10 @@
 Topology: three brokers (ttn and zigbee feeding the local one over In
 bridges), the gateway websocket emulation with its read/write translator,
 the real-time server with all stock verticles, and optionally the latency
-taps at the four measurement points. Every subsystem also runs standalone
-through the CLI; this module only wires the same pieces into one process.
+taps at the three hops the stack owns: gateway, broker and event bus. The
+fourth point, the client, is stamped by the monitor client of the run
+(``bench.run_experiment``). Every subsystem also runs standalone through the
+CLI; this module only wires the same pieces into one process.
 """
 
 from __future__ import annotations
@@ -15,19 +17,11 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .bench import (
-    TapCollector,
-    categories_of,
-    per_category_stats,
-    per_point_stats,
-    write_fig8b,
-    write_table2,
-)
+from .bench import TapCollector, run_experiment, write_experiment_csvs
 from .broker import Broker, BridgeRule
 from .decoders import NormalizedMessage
-from .pipe import now_ms
 from .rts import EventBus, RealTimeServer
-from .rts.monitor import DataMonitor, MonitorClient
+from .rts.monitor import DataMonitor
 from .rts.verticles import (
     FeedHandler,
     MessageFiler,
@@ -103,8 +97,6 @@ class Stack:
         self.transports: Transports | None = None
         self.data_root: Path | None = None
         self._tmpdir: tempfile.TemporaryDirectory | None = None
-        self._tap_client: MonitorClient | None = None
-        self._tap_task: asyncio.Task | None = None
 
     # --- lifecycle -----------------------------------------------------------
 
@@ -174,23 +166,6 @@ class Stack:
             await asyncio.wait_for(bridge.connected.wait(), 10)
         await asyncio.sleep(0.2)  # feedhandler + translator subscriptions settle
 
-        if taps is not None:
-            self._tap_client = await MonitorClient.connect(*self.monitor.address)
-            await self._tap_client.subscribe(["feed/#"])
-            self._tap_task = asyncio.create_task(self._client_tap_pump())
-
-    async def _client_tap_pump(self) -> None:
-        assert self._tap_client is not None and self.taps is not None
-        try:
-            while True:
-                line = await self._tap_client.next()
-                body = line.get("body")
-                if (isinstance(body, dict) and body.get("device_id")
-                        and isinstance(body.get("sim_t0"), int)):
-                    self.taps.tap("client", body["device_id"], body["sim_t0"], now_ms())
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-
     async def run_fleet(self, profiles: list[DeviceProfile],
                         scenario: ScenarioScript | None,
                         duration_s: float) -> EmissionLog:
@@ -218,11 +193,6 @@ class Stack:
         return False
 
     async def stop(self) -> None:
-        if self._tap_task is not None:
-            self._tap_task.cancel()
-            await asyncio.gather(self._tap_task, return_exceptions=True)
-        if self._tap_client is not None:
-            await self._tap_client.close()
         if self.transports is not None:
             await self.transports.stop()
         if self.translator is not None:
@@ -290,58 +260,15 @@ async def run_demo(scenario_name: str = "coffee", seed: int = 42,
     if scenario_name not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario_name!r}; have {sorted(SCENARIOS)}")
     scenario = SCENARIOS[scenario_name]()
-    config = config or StackConfig()
-    config.seed = seed
-    if scenario.rules:
-        config.rules = [ThresholdRule.from_jsonable(r) for r in scenario.rules]
-
-    stack = Stack(config, taps=TapCollector())
-    await stack.start()
-    events: list[dict] = []
-    collector: MonitorClient | None = None
-    task: asyncio.Task | None = None
-    try:
-        collector = await MonitorClient.connect(*stack.monitor.address)
-        await collector.subscribe(["event/#"])
-
-        async def collect() -> None:
-            while True:
-                line = await collector.next()
-                body = line.get("body")
-                if isinstance(body, dict) and "event_type" in body:
-                    events.append(body)
-
-        task = asyncio.create_task(collect())
-        await stack.run_fleet([], scenario, scenario.duration_s)
-        drained = await stack.drain()
-
-        detected = [e["event_type"] for e in events
-                    if e["event_type"] in scenario.watch_events]
-        audit = stack.audit()
-        feed = stack.feed_counters()
-        conservation_ok = (
-            all(row["conserved"] for row in audit)
-            and feed["received"] == feed["published"] + feed["deadlettered"]
-        )
-        result = DemoResult(
-            scenario=scenario.name, detected=detected,
-            ground_truth=list(scenario.ground_truth), events=list(events),
-            audit=audit, feed=feed, conservation_ok=conservation_ok,
-            drained=drained, out_dir=Path(out_dir) if out_dir else None)
-        if out_dir is not None:
-            out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            per_point = per_point_stats(stack.taps)
-            if per_point:
-                write_table2(out / "table2.csv", per_point)
-            per_category = per_category_stats(stack.taps, categories_of(scenario.profiles))
-            if per_category:
-                write_fig8b(out / "fig8b.csv", per_category)
-        return result
-    finally:
-        if task is not None:
-            task.cancel()
-            await asyncio.gather(task, return_exceptions=True)
-        if collector is not None:
-            await collector.close()
-        await stack.stop()
+    result = await run_experiment(0, scenario.duration_s, seed=seed,
+                                  scenario=scenario, config=config)
+    if out_dir is not None:
+        write_experiment_csvs(result, out_dir)
+    return DemoResult(
+        scenario=scenario.name,
+        detected=[e["event_type"] for e in result.events
+                  if e["event_type"] in scenario.watch_events],
+        ground_truth=list(scenario.ground_truth), events=result.events,
+        audit=result.audit, feed=result.feed_counters,
+        conservation_ok=result.conserved(), drained=result.drained,
+        out_dir=Path(out_dir) if out_dir else None)

@@ -138,11 +138,14 @@ Packet = Union[
 def validate_topic(raw: str) -> tuple[str, ...]:
     """Validate a publish topic name; returns its levels.
 
-    No wildcards, no NUL, encoded length 1..65535.
+    No wildcards, no NUL, valid UTF-8 of 1..65535 encoded bytes.
     """
     if not isinstance(raw, str):
         raise InvalidTopic("topic must be a string")
-    encoded = len(raw.encode("utf-8"))
+    try:
+        encoded = len(raw) if raw.isascii() else len(raw.encode("utf-8"))
+    except UnicodeEncodeError as exc:  # a lone surrogate
+        raise InvalidTopic(f"topic is not valid UTF-8 (position {exc.start})") from None
     if encoded < 1:
         raise InvalidTopic("topic must not be empty")
     if encoded > 0xFFFF:
@@ -162,7 +165,10 @@ def validate_filter(raw: str) -> tuple[str, ...]:
     """
     if not isinstance(raw, str):
         raise InvalidFilter("filter must be a string", 0)
-    encoded = len(raw.encode("utf-8"))
+    try:
+        encoded = len(raw) if raw.isascii() else len(raw.encode("utf-8"))
+    except UnicodeEncodeError as exc:  # a lone surrogate
+        raise InvalidFilter("filter is not valid UTF-8", exc.start) from None
     if encoded < 1:
         raise InvalidFilter("filter must not be empty", 0)
     if encoded > 0xFFFF:

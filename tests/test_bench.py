@@ -202,6 +202,7 @@ def test_small_experiment_shape():
     assert result.filer_counts == result.emission_counts
     assert result.feed_counters["received"] == (
         result.feed_counters["published"] + result.feed_counters["deadlettered"])
+    assert result.drained and result.conserved()
 
 
 def test_experiment_zero_sensors():

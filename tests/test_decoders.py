@@ -223,6 +223,15 @@ def test_passthrough_idempotent_on_core_fields():
     assert (again.device_id, again.ts, again.cooked) == (first.device_id, first.ts, first.cooked)
 
 
+@pytest.mark.parametrize("sim_t0,expected", [(123, 123), ("123", None), (True, None)])
+def test_passthrough_sim_t0_is_an_int_or_none(sim_t0, expected):
+    record = {"device_id": "n1", "ts": 1_590_998_400_000, "family": "smartplug",
+              "cooked": {}, "received_at": 1, "sim_t0": sim_t0}
+    msg = default_registry().normalize(RawSensorMessage(
+        "normalized/x", json.dumps(record).encode(), 1_590_998_400_000))
+    assert msg.sim_t0 == expected
+
+
 def test_normalized_json_roundtrip_binary_original():
     msg = NormalizedMessage("d", 1, "f", {"x": 1}, b"\xff\x00", 2, sim_t0=3)
     back = NormalizedMessage.from_json(msg.to_json())

@@ -8,7 +8,9 @@ import sys
 
 import pytest
 
+from sensert.bench import TapCollector, make_fleet
 from sensert.cli import build_parser, main
+from sensert.rts.monitor import DataMonitor
 from sensert.stack import DemoResult, Stack, StackConfig, run_demo
 
 
@@ -46,6 +48,44 @@ def test_demo_writes_bench_csvs(tmp_path):
     fig8b = (tmp_path / "fig8b.csv").read_text().splitlines()
     assert fig8b[0].startswith("category,")
     assert any(row.startswith("coffee,") for row in fig8b)
+
+
+def test_demo_opens_one_monitor_connection(monkeypatch):
+    monitors = []
+    start = DataMonitor.start
+
+    async def recording_start(self, bus):
+        monitors.append(self)
+        await start(self, bus)
+
+    monkeypatch.setattr(DataMonitor, "start", recording_start)
+    result = run(run_demo("outage", seed=42))
+    assert result.ok
+    assert [m.clients_served for m in monitors] == [1]
+
+
+def test_stack_taps_only_its_own_hops():
+    """With no monitor client, a traced stack stamps gateway, broker and
+    event bus for every reading, and never the client point."""
+
+    async def main_():
+        taps = TapCollector()
+        stack = Stack(StackConfig(), taps=taps)
+        await stack.start()
+        try:
+            emitted = await stack.run_fleet(make_fleet(10), None, 2.0)
+            assert await stack.drain()
+        finally:
+            await stack.stop()
+        return taps, sum(emitted.counts().values())
+
+    taps, emitted = run(main_())
+    records = list(taps.records.values())
+    assert emitted > 0 and len(records) == emitted
+    for r in records:
+        assert None not in (r.t_gateway, r.t_broker, r.t_eventbus), r
+        assert r.t_client is None
+        assert r.ordered
 
 
 def test_demo_unknown_scenario():

@@ -164,15 +164,35 @@ def test_non_positive_reading_time_is_deadlettered(tmp_path, bad_time):
 _RECEIVED_AT = {"Time": "2020-06-01T10:00:00Z", "received_at": "2020-06-01T10:00:00Z"}
 
 
-@pytest.mark.parametrize("device", [".", ".."])
-@pytest.mark.parametrize("topic,payload", [
-    ("tele/{device}/SENSOR", {"ENERGY": {"Power": 1.0}}),
-    ("v3/app/devices/x/up", {"end_device_ids": {"device_id": "{device}"}}),
-    ("zigbee/x/state", {"id": "{device}", "state": {"presence": True}}),
-], ids=["plug-topic", "ttn-device_id", "zigbee-id"])
-def test_path_device_id_is_deadlettered(tmp_path, device, topic, payload):
-    """A device id names a directory under the data root: `.` and `..` must
-    not reach the filer."""
+_NORMALIZED = {"device_id": "n1", "ts": 1_590_998_400_000, "family": "smartplug",
+               "cooked": {"power_w": 1.0}, "received_at": 1}
+
+
+def _bad_level_cases():
+    rows = {
+        "plug-topic": ("tele/{device}/SENSOR", {"ENERGY": {"Power": 1.0}}),
+        "ttn-device_id": ("v3/app/devices/x/up", {"end_device_ids": {"device_id": "{device}"}}),
+        "zigbee-id": ("zigbee/x/state", {"id": "{device}", "state": {"presence": True}}),
+    }
+    for row, (topic, payload) in rows.items():
+        # a topic level cannot hold `/`, a wildcard, NUL or a lone surrogate
+        in_body = ["a/b", "a+b", "#", "a\x00b", "\ud800"] if row != "plug-topic" else []
+        for device in [".", ".."] + in_body:
+            body = json.dumps({**payload, **_RECEIVED_AT}).replace(
+                "{device}", json.dumps(device)[1:-1])
+            yield pytest.param(topic.format(device=device), body, f"device id {device!r}",
+                               id=f"{row}-{device}")
+    yield pytest.param("normalized/x", json.dumps({**_NORMALIZED, "device_id": 7}),
+                       "device id 7", id="normalized-int-device_id")
+    yield pytest.param("normalized/x", json.dumps({**_NORMALIZED, "family": "a+b"}),
+                       "family 'a+b'", id="normalized-plus-family")
+
+
+@pytest.mark.parametrize("topic,body,reason", _bad_level_cases())
+def test_path_device_id_is_deadlettered(tmp_path, topic, body, reason):
+    """A device id names a directory under the data root and, like the
+    family, one bus-address level: an id or family that cannot be one level
+    must be dead-lettered and must not end the stream."""
 
     async def main():
         root = tmp_path / "root"
@@ -186,10 +206,9 @@ def test_path_device_id_is_deadlettered(tmp_path, device, topic, payload):
         await asyncio.sleep(0.3)
 
         pub = await MqttClient.connect(*broker.address)
-        body = json.dumps({**payload, **_RECEIVED_AT}).replace("{device}", device)
-        await pub.publish(topic.format(device=device), body.encode())
+        await pub.publish(topic, body.encode())
         env = await asyncio.wait_for(dead_sub.get(), 3)
-        assert f"device id {device!r}" in env.body.reason
+        assert reason in env.body.reason
 
         await pub.publish("tele/p1/SENSOR", json.dumps(
             {"Time": "2020-06-01T10:00:00Z", "ENERGY": {"Power": 0.0}}).encode())

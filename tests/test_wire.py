@@ -310,6 +310,8 @@ _TOPIC_ERRORS = {
     "a\x00b": "NUL not allowed in topic name (position 1)",
     "ab/c\x00/+#": "NUL not allowed in topic name (position 4)",
     "é/#/\x00": "wildcard '#' not allowed in topic name (position 2)",
+    "feed/ttn/\ud800": "topic is not valid UTF-8 (position 9)",
+    "\udfff/#": "topic is not valid UTF-8 (position 0)",
 }
 
 
@@ -334,6 +336,8 @@ def test_validate_filter_accepts():
         ("a/+b/c", 2),
         ("a#", 1),
         ("", 0),
+        ("feed/\ud800/#", 5),
+        ("a/+/\udc80", 4),
     ],
 )
 def test_validate_filter_rejects_with_position(bad, pos):
