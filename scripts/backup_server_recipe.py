@@ -23,9 +23,17 @@ from sensert.simfleet import DeviceProfile  # noqa: E402
 from sensert.stack import Stack, StackConfig  # noqa: E402
 
 
-async def main() -> bool:
-    backup_root = Path(tempfile.mkdtemp(prefix="sensert-backup-"))
+def count_lines(path: Path) -> int:
+    with path.open("rb") as handle:
+        return sum(1 for _ in handle)
 
+
+async def main() -> bool:
+    with tempfile.TemporaryDirectory(prefix="sensert-backup-") as backup_dir:
+        return await run(Path(backup_dir))
+
+
+async def run(backup_root: Path) -> bool:
     # primary stack (brokers + rts) plus a router sharing feed/# with the peer
     peer = Broker(name="peer")
     await peer.start("127.0.0.1", 0)
@@ -47,7 +55,7 @@ async def main() -> bool:
 
     primary_counts = primary.filer_line_counts()
     backup_counts = {
-        d.name: sum(1 for f in d.rglob("*.jsonl") for _ in f.open())
+        d.name: sum(count_lines(f) for f in d.rglob("*.jsonl"))
         for d in backup_root.iterdir() if d.is_dir()
     }
     print(f"emitted:        {log.counts()}")

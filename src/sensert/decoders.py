@@ -14,6 +14,7 @@ import json
 import logging
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from typing import Any, Callable
 
 log = logging.getLogger(__name__)
@@ -70,8 +71,10 @@ class NormalizedMessage:
             out["original_b64"] = base64.b64encode(self.original).decode("ascii")
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), ensure_ascii=False)
+    @cached_property
+    def encoded(self) -> bytes:
+        """UTF-8 JSON made once (normalize forces it); every hop writes these bytes."""
+        return json.dumps(self.to_jsonable(), ensure_ascii=False).encode("utf-8")
 
     @classmethod
     def from_jsonable(cls, raw: dict[str, Any]) -> "NormalizedMessage":
@@ -88,10 +91,6 @@ class NormalizedMessage:
             received_at=int(raw["received_at"]),
             sim_t0=raw.get("sim_t0"),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "NormalizedMessage":
-        return cls.from_jsonable(json.loads(text))
 
 
 @dataclass
@@ -339,7 +338,7 @@ class DecoderRegistry:
         raise NoDecoder(f"no decoder matches topic {m.topic!r}")
 
     def normalize(self, m: RawSensorMessage) -> NormalizedMessage:
-        """Decode and apply the time-monotony clamp; raises on failure."""
+        """Decode, apply the time-monotony clamp and encode; raises on failure."""
         spec = self.select(m)
         try:
             msg = spec.decode(m)
@@ -356,6 +355,10 @@ class DecoderRegistry:
             self.stats.ts_clamped += 1
         if msg.ts <= 0:
             raise DecodeError(f"reading time {msg.ts} is not positive")
+        try:
+            msg.encoded
+        except (TypeError, ValueError) as exc:  # UnicodeEncodeError: a lone surrogate
+            raise DecodeError(f"record is not encodable as UTF-8 JSON: {exc}") from exc
         self.stats.decoded += 1
         return msg
 

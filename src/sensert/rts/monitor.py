@@ -26,6 +26,13 @@ def body_to_jsonable(body: Any) -> Any:
     return body
 
 
+def encode_body(body: Any) -> bytes:
+    """A bus body as UTF-8 JSON: a NormalizedMessage's own cached bytes."""
+    if isinstance(body, NormalizedMessage):
+        return body.encoded
+    return json.dumps(body_to_jsonable(body), ensure_ascii=False).encode("utf-8")
+
+
 class DataMonitor(Verticle):
     name = "datamonitor"
 
@@ -58,14 +65,15 @@ class DataMonitor(Verticle):
         async def pump(sub: Subscription) -> None:
             while True:
                 env = await sub.get()
-                line = json.dumps({
+                # the envelope head with its closing brace cut, then the body's bytes
+                head = json.dumps({
                     "address": env.address,
                     "published_at": env.published_at,
                     "seq": env.seq,
                     "stale": env.stale,
-                    "body": body_to_jsonable(env.body),
-                }, ensure_ascii=False) + "\n"
-                writer.write(line.encode("utf-8"))
+                }, ensure_ascii=False)[:-1]
+                writer.write(b"".join((head.encode("utf-8"), b', "body": ',
+                                       encode_body(env.body), b"}\n")))
                 await writer.drain()
 
         def reply(obj: dict) -> None:

@@ -11,16 +11,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO
 
-from ..decoders import (
-    DeadLetter,
-    NormalizedMessage,
-    RawSensorMessage,
-    default_registry,
-)
+from ..decoders import NormalizedMessage, RawSensorMessage, default_registry
 from ..mqtt_client import MqttClient, MqttError
 from ..pipe import connect_with_backoff, now_ms
 from .bus import DerivedEvent, SubscriptionPolicy
 from .coffee import CoffeeConfig, CoffeeState, DEFAULT_CONFIG, coffee_step
+from .monitor import encode_body
 from .server import Verticle
 
 log = logging.getLogger(__name__)
@@ -89,7 +85,8 @@ class MessageFiler(Verticle):
     """Bus -> disk: one JSON line per message, plus a latest.json snapshot.
 
     Layout: <data_root>/<device_id>/<YYYY>/<MM>/<DD>.jsonl with the UTC date
-    taken from the reading timestamp.
+    taken from the reading timestamp. Each device keeps one day file open; a
+    reading on another day closes it and opens (appends to) that day's file.
     """
 
     name = "messagefiler"
@@ -99,7 +96,7 @@ class MessageFiler(Verticle):
         self.data_root = Path(data_root)
         self.lines_written = 0
         self.errors = 0
-        self._handles: dict[Path, IO[str]] = {}
+        self._handles: dict[str, tuple[Path, IO[bytes]]] = {}  # device id -> its open day file
         self._latest_ts: dict[str, int] = {}
 
     async def start(self, bus) -> None:
@@ -110,7 +107,7 @@ class MessageFiler(Verticle):
 
     async def stop(self) -> None:
         await super().stop()
-        for handle in self._handles.values():
+        for _path, handle in self._handles.values():
             try:
                 handle.close()
             except OSError:
@@ -138,12 +135,14 @@ class MessageFiler(Verticle):
 
     def _file(self, msg: NormalizedMessage) -> None:
         path = self.day_path(msg.device_id, msg.ts)
-        handle = self._handles.get(path)
-        if handle is None:
+        entry = self._handles.get(msg.device_id)
+        if entry is None or entry[0] != path:
+            if entry is not None:  # another day: close the previous day's file
+                self._handles.pop(msg.device_id)[1].close()
             path.parent.mkdir(parents=True, exist_ok=True)
-            handle = path.open("a", encoding="utf-8")
-            self._handles[path] = handle
-        handle.write(msg.to_json() + "\n")
+            entry = self._handles[msg.device_id] = (path, path.open("ab"))
+        handle = entry[1]
+        handle.write(msg.encoded + b"\n")
         handle.flush()
         self.lines_written += 1
         self._write_latest(msg)
@@ -162,7 +161,7 @@ class MessageFiler(Verticle):
             return
         self._latest_ts[msg.device_id] = msg.ts
         tmp = device_dir / "latest.json.tmp"
-        tmp.write_text(msg.to_json(), encoding="utf-8")
+        tmp.write_bytes(msg.encoded)
         os.replace(tmp, device_dir / "latest.json")
 
 
@@ -318,14 +317,8 @@ class MessageRouter(Verticle):
             while True:
                 if pending is None:
                     env = await sub.get()
-                    body = env.body
-                    if isinstance(body, NormalizedMessage):
-                        payload = body.to_json().encode()
-                    elif isinstance(body, (DerivedEvent, DeadLetter)):
-                        payload = json.dumps(body.to_jsonable()).encode()
-                    else:
-                        payload = json.dumps(body).encode()
-                    pending = (route.topic_template.format(address=env.address), payload)
+                    pending = (route.topic_template.format(address=env.address),
+                               encode_body(env.body))
                 if client is None or client.closed:
                     client = await _backoff_connect(host, int(port), client_id=client_id)
                 try:

@@ -376,6 +376,7 @@ class DeconzWsServer:
         finally:
             if conn in self._clients:
                 self._clients.remove(conn)
+            await conn.close()  # the peer may have closed first: close our side too
 
     def push_event(self, event: dict) -> None:
         text = json.dumps(event)

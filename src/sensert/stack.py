@@ -17,7 +17,7 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .bench import TapCollector, run_experiment, write_experiment_csvs
+from .bench import TapCollector, extract_msg_key, run_experiment, write_experiment_csvs
 from .broker import Broker, BridgeRule
 from .decoders import NormalizedMessage
 from .rts import EventBus, RealTimeServer
@@ -114,12 +114,12 @@ class Stack:
                 taps.ingest_raw("gateway", topic, payload, t)
 
         def local_observer(from_bridge: bool, topic: str, payload: bytes, t: int) -> None:
-            if taps is None:
+            if taps is None or (key := extract_msg_key(topic, payload)) is None:
                 return
             if not from_bridge:
                 # Wi-Fi devices: the aggregating broker is also their first hop
-                taps.ingest_raw("gateway", topic, payload, t)
-            taps.ingest_raw("broker", topic, payload, t)
+                taps.tap("gateway", *key, t)
+            taps.tap("broker", *key, t)
 
         self.ttn = Broker(name="ttn", publish_observer=gateway_observer)
         await self.ttn.start(cfg.host, cfg.ttn_port)

@@ -215,7 +215,7 @@ def test_passthrough_idempotent_on_core_fields():
                               {"Time": "2020-06-01T10:00:00", "ENERGY": {"Power": 42.0}}))
     rewrapped = RawSensorMessage(
         topic="normalized/feed/smartplug/plug-17",
-        payload=first.to_json().encode(),
+        payload=first.encoded,
         received_at=first.received_at + 50,
     )
     again = reg.normalize(rewrapped)
@@ -234,7 +234,7 @@ def test_passthrough_sim_t0_is_an_int_or_none(sim_t0, expected):
 
 def test_normalized_json_roundtrip_binary_original():
     msg = NormalizedMessage("d", 1, "f", {"x": 1}, b"\xff\x00", 2, sim_t0=3)
-    back = NormalizedMessage.from_json(msg.to_json())
+    back = NormalizedMessage.from_jsonable(json.loads(msg.encoded))
     assert back.original == b"\xff\x00"
     assert back.sim_t0 == 3
 

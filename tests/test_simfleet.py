@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from sensert import simfleet
 from sensert.broker import Broker
 from sensert.decoders import NormalizedMessage, default_registry
 from sensert.mqtt_client import MqttClient
@@ -29,7 +30,7 @@ from sensert.simfleet import (
     save_fleet,
     stable_seed,
 )
-from sensert.ws import OP_TEXT, ws_handshake_server
+from sensert.ws import OP_TEXT, ws_connect, ws_handshake_server
 
 
 def run(coro):
@@ -294,6 +295,36 @@ def test_deconz_ws_to_translator_to_broker():
         await translator.stop()
         await server.stop()
         await zigbee.stop()
+
+    run(main())
+
+
+def test_deconz_server_closes_connection_the_peer_closed(monkeypatch):
+    """When the translator hangs up first, the gateway closes its side too."""
+    accepted = []
+
+    async def recording_handshake(reader, writer):
+        conn = await ws_handshake_server(reader, writer)
+        accepted.append(writer)
+        return conn
+
+    monkeypatch.setattr(simfleet, "ws_handshake_server", recording_handshake)
+
+    async def main():
+        server = DeconzWsServer()
+        await server.start()
+        client = await ws_connect(*server.address)
+        for _ in range(100):
+            if accepted:
+                break
+            await asyncio.sleep(0.01)
+        await client.close()
+        for _ in range(100):
+            if accepted[0].transport.is_closing():
+                break
+            await asyncio.sleep(0.01)
+        assert accepted[0].transport.is_closing()
+        await server.stop()
 
     run(main())
 

@@ -8,9 +8,11 @@ import sys
 
 import pytest
 
-from sensert.bench import TapCollector, make_fleet
+from sensert import bench, stack
+from sensert.bench import TapCollector, extract_msg_key, make_fleet
 from sensert.cli import build_parser, main
 from sensert.rts.monitor import DataMonitor
+from sensert.simfleet import DeviceProfile
 from sensert.stack import DemoResult, Stack, StackConfig, run_demo
 
 
@@ -86,6 +88,36 @@ def test_stack_taps_only_its_own_hops():
         assert None not in (r.t_gateway, r.t_broker, r.t_eventbus), r
         assert r.t_client is None
         assert r.ordered
+
+
+def test_stack_parses_each_tap_key_once(monkeypatch):
+    """A Wi-Fi reading is stamped at gateway and broker from one parse."""
+    parsed = []
+
+    def counting(topic, payload):
+        parsed.append(topic)
+        return extract_msg_key(topic, payload)
+
+    monkeypatch.setattr(bench, "extract_msg_key", counting)
+    monkeypatch.setattr(stack, "extract_msg_key", counting)
+
+    async def main_():
+        taps = TapCollector()
+        s = Stack(StackConfig(), taps=taps)
+        await s.start()
+        try:
+            emitted = await s.run_fleet(
+                [DeviceProfile(f"plug-{i}", "smartplug", period_s=0.2) for i in range(2)],
+                None, 1.0)
+            assert await s.drain()
+        finally:
+            await s.stop()
+        return taps, sum(emitted.counts().values())
+
+    taps, emitted = run(main_())
+    assert emitted > 0 and len(parsed) == emitted
+    for r in taps.records.values():
+        assert None not in (r.t_gateway, r.t_broker, r.t_eventbus), r
 
 
 def test_demo_unknown_scenario():

@@ -284,6 +284,40 @@ def test_filer_utc_date_rollover(tmp_path):
     run(main())
 
 
+def test_filer_keeps_one_open_day_file_per_device(tmp_path):
+    """Thirty days of one device leave one open handle and thirty lines; a
+    reading back on an earlier day is appended to that day's file."""
+
+    async def main():
+        rts = RealTimeServer()
+        filer = MessageFiler(tmp_path)
+        await rts.deploy(filer)
+        day_ms = 86_400_000
+        first = 1_590_998_400_000  # 2020-06-01T10:00:00Z
+        for day in range(30):
+            rts.bus.publish("feed/smartplug/d1", plug_msg(ts=first + day * day_ms))
+        for _ in range(100):
+            if filer.lines_written == 30:
+                break
+            await asyncio.sleep(0.01)
+        assert len(filer._handles) == 1
+        day_files = sorted((tmp_path / "d1").rglob("*.jsonl"))
+        assert len(day_files) == 30
+        assert sum(len(f.read_bytes().splitlines()) for f in day_files) == 30
+
+        rts.bus.publish("feed/smartplug/d1", plug_msg(ts=first + 1))
+        for _ in range(100):
+            if filer.lines_written == 31:
+                break
+            await asyncio.sleep(0.01)
+        assert len(filer._handles) == 1
+        lines = (tmp_path / "d1" / "2020" / "06" / "01.jsonl").read_bytes().splitlines()
+        assert [json.loads(line)["ts"] for line in lines] == [first, first + 1]
+        await rts.stop()
+
+    run(main())
+
+
 def test_filer_ignores_deadletters(tmp_path):
     async def main():
         rts = RealTimeServer()
