@@ -255,7 +255,9 @@ class ExperimentResult:
     taps: TapCollector
     categories: dict[str, str]
     emission_counts: dict[str, int] = field(default_factory=dict)
-    emission_drops: dict[str, int] = field(default_factory=dict)
+    queues: list[str] = field(default_factory=list)  # names of every queue walked
+    drops: dict[str, int] = field(default_factory=dict)  # by queue, nonzero only
+    unreconciled: list[str] = field(default_factory=list)  # from Stack.reconcile
     filer_counts: dict[str, int] = field(default_factory=dict)
     audit: list[dict] = field(default_factory=list)
     feed_counters: dict[str, int] = field(default_factory=dict)
@@ -265,11 +267,8 @@ class ExperimentResult:
     drained: bool = False
 
     def conserved(self) -> bool:
-        """Every bus subscription conserved; feedhandler in = out + dead letters."""
-        feed = self.feed_counters
-        return (all(row["conserved"] for row in self.audit)
-                and feed.get("received", 0)
-                == feed.get("published", 0) + feed.get("deadlettered", 0))
+        """Every queue conserved and every emitted reading accounted for."""
+        return not self.unreconciled
 
     def per_point_stats(self) -> dict[str, LatencyStats]:
         return per_point_stats(self.taps)
@@ -310,7 +309,6 @@ async def run_experiment(n: int, duration_s: float, seed: int = 0,
     taps = TapCollector()
     events: list[dict] = []
     stack = Stack(config, taps=taps)
-    await stack.start()
     client: MonitorClient | None = None
     pump: asyncio.Task | None = None
 
@@ -325,6 +323,7 @@ async def run_experiment(n: int, duration_s: float, seed: int = 0,
                 taps.tap("client", body["device_id"], body["sim_t0"], now_ms())
 
     try:
+        await stack.start()
         client = await MonitorClient.connect(*stack.monitor.address)
         await client.subscribe(["feed/#", "event/#"])
         pump = asyncio.create_task(pump_lines())
@@ -334,7 +333,9 @@ async def run_experiment(n: int, duration_s: float, seed: int = 0,
             n=n, duration_s=duration_s, taps=taps,
             categories=categories_of(profiles),
             emission_counts=log_.counts(),
-            emission_drops=dict(log_.drops),
+            queues=[name for name, _q in stack.queues()],
+            drops=stack.drops(),
+            unreconciled=stack.reconcile(len(log_)),
             filer_counts=stack.filer_line_counts(),
             audit=stack.audit(),
             feed_counters=stack.feed_counters(),
@@ -381,6 +382,9 @@ def write_report(path: str | Path, result: ExperimentResult) -> None:
     ]
     for category, s in result.per_category_stats().items():
         lines.append(f"{category:<16} {s.count:>6} {s.mean_ms:>9.2f} {s.p99_ms:>8.2f}")
+    lines.append(f"drops by queue: {result.drops or 'none'}")
+    for problem in result.unreconciled:
+        lines.append(f"unreconciled: {problem}")
     for warning in result.warnings:
         lines.append(f"warning: {warning}")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -76,6 +76,7 @@ class _Subscriber:
 
     def __init__(self, link_id: int, max_queue: int, stats: BrokerStats):
         self.link_id = link_id
+        self.name = f"link:{link_id}"  # its queue's name in Broker.queues()
         # raw filter string -> pre-split levels (dict dedups by filter string)
         self.filters: dict[str, tuple[str, ...]] = {}
         self.queue: BoundedQueue[tuple[str, bytes]] = BoundedQueue(max_queue)
@@ -94,6 +95,7 @@ class ClientSession(_Subscriber):
                  keep_alive_s: int, max_queue: int, stats: BrokerStats):
         super().__init__(link_id, max_queue, stats)
         self.client_id = client_id
+        self.name = f"session:{client_id}"
         self.writer = writer
         self.keep_alive_s = keep_alive_s
         self.last_seen = time.monotonic()
@@ -212,11 +214,21 @@ class Broker:
     def live_sessions(self) -> int:
         return len(self._by_client_id)
 
+    def queues(self) -> list[tuple[str, BoundedQueue]]:
+        """Every queue of this broker by name: each session's
+        (``broker.<name>.session:<client_id>``), each bridge-out forwarder's and
+        each connected bridge's client inbound queue (``bridge-out:<remote>``,
+        ``bridge-in:<remote>``)."""
+        prefix = f"broker.{self.name}."
+        walk = [(prefix + s.name, s.queue) for s in self._subscribers.values()]
+        walk += [(f"{prefix}bridge-in:{b.rule.remote}", b._client.inbound)
+                 for b in self._bridges if b._client is not None]
+        return walk
+
     def pending_frames(self) -> int:
         """Frames queued towards subscribers (sessions and bridges) but not yet
         written, plus bridged-in publishes not yet routed."""
-        return (sum(s.queue.pending for s in self._subscribers.values())
-                + sum(b.inbound_pending() for b in self._bridges))
+        return sum(q.pending for _name, q in self.queues())
 
     # --- connection handling --------------------------------------------------
 
@@ -319,16 +331,13 @@ class Bridge:
         self._stopping = False
         if rule.direction in ("out", "both"):
             self._out_sub = _Subscriber(self.link_id, broker._max_session_queue, broker.stats)
+            self._out_sub.name = f"bridge-out:{rule.remote}"
             self._out_sub.filters[rule.filter] = wire.validate_filter(rule.filter)
             broker.register_subscriber(self._out_sub)
 
     def start(self) -> None:
         if self._task is None:
             self._task = asyncio.create_task(self._run())
-
-    def inbound_pending(self) -> int:
-        client = self._client
-        return client.inbound_pending() if client is not None else 0
 
     async def stop(self) -> None:
         self._stopping = True

@@ -48,6 +48,17 @@ def _parse_brokers(raw: str) -> dict[str, tuple[str, int]]:
     return out
 
 
+def _time_ms(raw: str) -> int:
+    t = parse_time_ms(raw)
+    if t is not None:
+        return t
+    try:
+        return int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an ISO-8601 time or epoch ms, got {raw!r}") from None
+
+
 def _seconds(raw: str) -> float:
     return float(raw[:-1]) if raw.endswith("s") else float(raw)
 
@@ -86,10 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("file", type=Path)
     m = meta_sub.add_parser("asof", help="device record effective at a time")
     m.add_argument("device_id")
-    m.add_argument("time", help="ISO-8601 time or epoch ms")
+    m.add_argument("time", type=_time_ms, help="ISO-8601 time or epoch ms")
     m = meta_sub.add_parser("ls", help="devices in a container (transitively)")
     m.add_argument("container_id")
-    m.add_argument("--at", default=None, help="ISO-8601 time or epoch ms (default: now)")
+    m.add_argument("--at", type=_time_ms, default=None,
+                   help="ISO-8601 time or epoch ms (default: now)")
 
     p = sub.add_parser("bench", help="latency experiments and CSV reports")
     p.add_argument("--sweep", default="10,45,100",
@@ -175,8 +187,9 @@ async def _run_sim(args) -> int:
     runner = FleetRunner(profiles, transports, scenario=scenario, seed=args.seed)
     try:
         emission_log = await runner.run(duration)
+        drops = {d: q.dropped for d, q in runner.buffers.items() if q.dropped}
         log.info("emitted %d messages from %d devices; drops: %s",
-                 len(emission_log), len(runner.profiles), emission_log.drops or "none")
+                 len(emission_log), len(runner.profiles), drops or "none")
     finally:
         await transports.stop()
         if translator is not None:
@@ -231,8 +244,7 @@ def _run_meta(args) -> int:
         print(f"imported {containers} container records, {devices} device records")
         return 0
     if args.meta_command == "asof":
-        t = parse_time_ms(args.time) or int(args.time)
-        record = store.get_asof(args.device_id, t)
+        record = store.get_asof(args.device_id, args.time)
         if record is None:
             print("no record")
             return 1
@@ -240,9 +252,7 @@ def _run_meta(args) -> int:
                           "doc": record.doc}, indent=2))
         return 0
     if args.meta_command == "ls":
-        t = parse_time_ms(args.at) if args.at else now_ms()
-        if t is None:
-            t = int(args.at)
+        t = args.at if args.at is not None else now_ms()
         for device_id in store.devices_in(args.container_id, t):
             print(device_id)
         return 0

@@ -42,18 +42,23 @@ class MqttClient:
                       keep_alive_s: int = 60, timeout: float = 5.0) -> "MqttClient":
         reader, writer = await asyncio.wait_for(asyncio.open_connection(host, port), timeout)
         client = cls(reader, writer, client_id or f"c-{uuid.uuid4().hex[:10]}", keep_alive_s)
-        writer.write(wire.encode_packet(wire.Connect(client.client_id, keep_alive_s=keep_alive_s)))
-        await writer.drain()
-        pkt = await asyncio.wait_for(wire.read_packet(reader, client._buf), timeout)
-        if pkt is None:
+        try:
+            writer.write(wire.encode_packet(
+                wire.Connect(client.client_id, keep_alive_s=keep_alive_s)))
+            await writer.drain()
+            pkt = await asyncio.wait_for(wire.read_packet(reader, client._buf), timeout)
+            if pkt is None:
+                raise MqttError("connection closed during handshake")
+            if not isinstance(pkt, wire.Connack):
+                raise MqttError(f"expected CONNACK, got {pkt!r}")
+            if pkt.return_code != 0:
+                raise MqttError(f"connection refused, return code {pkt.return_code}")
+        except wire.MalformedPacket as exc:  # not an MQTT peer: retry like any failure
             writer.close()
-            raise MqttError("connection closed during handshake")
-        if not isinstance(pkt, wire.Connack):
+            raise MqttError(f"malformed handshake reply: {exc}") from exc
+        except BaseException:  # a timeout, EOF, refusal or cancellation: no socket left open
             writer.close()
-            raise MqttError(f"expected CONNACK, got {pkt!r}")
-        if pkt.return_code != 0:
-            writer.close()
-            raise MqttError(f"connection refused, return code {pkt.return_code}")
+            raise
         client._tasks.append(asyncio.create_task(client._read_loop()))
         if keep_alive_s > 0:
             client._tasks.append(asyncio.create_task(client._ping_loop()))
@@ -62,9 +67,6 @@ class MqttClient:
     @property
     def closed(self) -> bool:
         return self._closed.is_set()
-
-    def inbound_pending(self) -> int:
-        return self.inbound.pending
 
     async def wait_closed(self) -> None:
         await self._closed.wait()

@@ -1,12 +1,18 @@
 """The pipeline's shared primitives: one drop-queue, one reconnect policy, one clock.
 
 Every hop that decouples a producer from a consumer is a
-:class:`BoundedQueue`: broker sessions, bridge-out forwarders, every MQTT
-client's inbound queue (a bridge's client too, so bridge-in traffic is
-counted), and event-bus subscriptions. ``put`` never blocks: when the
-queue is full it drops by policy and counts the drop, so at every moment
+:class:`BoundedQueue`: simulated device buffers, broker sessions,
+bridge-out forwarders, every MQTT client's inbound queue (a bridge's client
+too, so bridge-in traffic is counted), and event-bus subscriptions. ``put``
+never blocks: when the queue is full it drops by policy and counts the
+drop, so at every moment
 
     offered = delivered + dropped + pending
+
+``Stack.queues()`` is the one walk of every queue in the in-process stack,
+by name; draining, the drops by queue and the end-to-end count (readings
+emitted = filed + filer errors + dead-lettered + dropped on the filer path)
+all read it.
 
 Every outbound connection (bridges, the feed handler, the router, the
 simulator's uplinks, the ZigBee translator) is (re)established through
@@ -83,6 +89,10 @@ class BoundedQueue(Generic[T]):
         self._items.append(item)
         self._wake.set()
         return not full
+
+    def peek(self) -> T | None:
+        """The oldest item without taking it, or None when empty."""
+        return self._items[0] if self._items else None
 
     def get_nowait(self) -> T | None:
         """The oldest item, or None when empty."""

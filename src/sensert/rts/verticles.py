@@ -40,11 +40,11 @@ class FeedHandler(Verticle):
         self.received = 0
         self.published = 0
         self.deadlettered = 0
-        self._client: MqttClient | None = None
+        self.client: MqttClient | None = None  # the broker connection, None while down
 
     def pending(self) -> int:
-        client = self._client
-        return client.inbound_pending() if client is not None else 0
+        client = self.client
+        return client.inbound.pending if client is not None else 0
 
     async def start(self, bus) -> None:
         await super().start(bus)
@@ -52,14 +52,14 @@ class FeedHandler(Verticle):
 
     async def stop(self) -> None:
         await super().stop()
-        if self._client is not None:
-            await self._client.close()
+        if self.client is not None:
+            await self.client.close()
 
     async def _run(self) -> None:
         while True:
             client = await _backoff_connect(self.host, self.port,
                                             client_id=f"rts-{self.name}")
-            self._client = client
+            self.client = client
             try:
                 await client.subscribe(["#"])
                 while True:
@@ -78,7 +78,7 @@ class FeedHandler(Verticle):
                 log.info("%s: broker connection lost, reconnecting", self.name)
             finally:
                 await client.close()
-                self._client = None
+                self.client = None
 
 
 class MessageFiler(Verticle):
@@ -154,9 +154,11 @@ class MessageFiler(Verticle):
             latest_path = device_dir / "latest.json"
             if latest_path.exists():
                 try:
-                    known = int(json.loads(latest_path.read_text())["ts"])
-                except (ValueError, KeyError, OSError):
-                    known = None
+                    stored = json.loads(latest_path.read_text())
+                except (ValueError, OSError):
+                    stored = None
+                ts = stored.get("ts") if isinstance(stored, dict) else None
+                known = ts if isinstance(ts, int) and not isinstance(ts, bool) else None
         if known is not None and msg.ts < known:
             return
         self._latest_ts[msg.device_id] = msg.ts

@@ -20,7 +20,6 @@ import hashlib
 import json
 import logging
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -28,7 +27,7 @@ from typing import Any, Callable
 
 from .decoders import RawSensorMessage
 from .mqtt_client import MqttClient, MqttError
-from .pipe import connect_with_backoff, now_ms
+from .pipe import BoundedQueue, connect_with_backoff, now_ms
 from .ws import WsConnection, ws_connect, ws_handshake_server
 
 log = logging.getLogger(__name__)
@@ -379,6 +378,9 @@ class DeconzWsServer:
             await conn.close()  # the peer may have closed first: close our side too
 
     def push_event(self, event: dict) -> None:
+        """Send to every websocket client; TransportDown while none is connected."""
+        if not self._clients:
+            raise TransportDown("deconz: no websocket client")
         text = json.dumps(event)
         if self._on_push is not None:
             device = str(event.get("id", ""))
@@ -541,13 +543,9 @@ class EmissionRecord:
 class EmissionLog:
     def __init__(self):
         self.records: list[EmissionRecord] = []
-        self.drops: dict[str, int] = {}
 
     def append(self, record: EmissionRecord) -> None:
         self.records.append(record)
-
-    def count_drop(self, device_id: str) -> None:
-        self.drops[device_id] = self.drops.get(device_id, 0) + 1
 
     def counts(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -574,7 +572,8 @@ class FleetRunner:
         self.log = EmissionLog()
         self._states: dict[str, Any] = {}
         self._override_pending: set[str] = set()
-        self._buffers: dict[str, deque] = {}
+        # per device, readings not yet sent: drop-oldest while the uplink is down
+        self.buffers: dict[str, BoundedQueue[tuple[str, dict, int, bool]]] = {}
 
     def _state_for(self, profile: DeviceProfile, rng: random.Random) -> Any:
         if profile.device_id not in self._states:
@@ -632,8 +631,7 @@ class FleetRunner:
     async def _device_loop(self, profile: DeviceProfile, start: float, duration_s: float) -> None:
         loop = asyncio.get_running_loop()
         rng = random.Random(stable_seed(self.seed, profile.device_id, "noise"))
-        buffer: deque = deque()
-        self._buffers[profile.device_id] = buffer
+        buffer = self.buffers[profile.device_id] = BoundedQueue(DEVICE_BUFFER_CAP)
         tick = 0
         while True:
             tick += 1
@@ -651,18 +649,15 @@ class FleetRunner:
                 self._override_pending.discard(profile.device_id)
             if profile.extra_delay_s:
                 await asyncio.sleep(profile.extra_delay_s)
-            if len(buffer) >= DEVICE_BUFFER_CAP:
-                buffer.popleft()
-                self.log.count_drop(profile.device_id)
-            buffer.append((topic, payload, t_ms, overridden))
+            buffer.put((topic, payload, t_ms, overridden))
             self._drain(profile, buffer)
 
-    def _drain(self, profile: DeviceProfile, buffer: deque) -> None:
-        while buffer:
-            topic, payload, t_ms, overridden = buffer[0]
+    def _drain(self, profile: DeviceProfile, buffer: BoundedQueue) -> None:
+        while (head := buffer.peek()) is not None:
+            topic, payload, t_ms, overridden = head
             try:
                 self.transports.publish(profile.transport, topic, payload)
             except TransportDown:
                 return
-            buffer.popleft()
+            buffer.get_nowait()
             self.log.append(EmissionRecord(profile.device_id, t_ms, topic, overridden))

@@ -20,6 +20,7 @@ from pathlib import Path
 from .bench import TapCollector, extract_msg_key, run_experiment, write_experiment_csvs
 from .broker import Broker, BridgeRule
 from .decoders import NormalizedMessage
+from .pipe import BoundedQueue
 from .rts import EventBus, RealTimeServer
 from .rts.monitor import DataMonitor
 from .rts.verticles import (
@@ -97,6 +98,7 @@ class Stack:
         self.transports: Transports | None = None
         self.data_root: Path | None = None
         self._tmpdir: tempfile.TemporaryDirectory | None = None
+        self._device_buffers: dict[str, BoundedQueue] = {}  # of the last run_fleet
 
     # --- lifecycle -----------------------------------------------------------
 
@@ -171,6 +173,7 @@ class Stack:
                         duration_s: float) -> EmissionLog:
         runner = FleetRunner(profiles, self.transports, scenario=scenario,
                              seed=self.config.seed)
+        self._device_buffers = runner.buffers
         return await runner.run(duration_s)
 
     async def drain(self, timeout_s: float = 5.0) -> bool:
@@ -178,13 +181,7 @@ class Stack:
         deadline = asyncio.get_running_loop().time() + timeout_s
         stable = 0
         while asyncio.get_running_loop().time() < deadline:
-            pending = (
-                sum(s.pending() for s in self.rts.bus.subscriptions())
-                + self.feedhandler.pending()
-                + self.local.pending_frames()
-                + self.ttn.pending_frames()
-                + self.zigbee.pending_frames()
-            )
+            pending = sum(q.pending for _name, q in self.queues())
             stable = stable + 1 if pending == 0 else 0
             if stable >= 3:
                 await asyncio.sleep(0.3)  # tail for monitor socket flushes
@@ -208,6 +205,49 @@ class Stack:
             self._tmpdir.cleanup()
 
     # --- introspection ----------------------------------------------------------
+
+    def queues(self) -> list[tuple[str, BoundedQueue]]:
+        """Every queue of the stack by name: the three brokers' sessions,
+        bridge-in and bridge-out queues (``broker.<broker>.…``),
+        ``feedhandler.inbound``, every bus subscription (``bus.<owner>:<filter>``)
+        and the last ``run_fleet``'s device buffers (``device:<id>``)."""
+        walk = [pair for broker in (self.local, self.ttn, self.zigbee)
+                for pair in broker.queues()]
+        if self.feedhandler.client is not None:
+            walk.append(("feedhandler.inbound", self.feedhandler.client.inbound))
+        walk += [(f"bus.{s.owner}:{s.filter}", s.queue) for s in self.rts.bus.subscriptions()]
+        walk += [(f"device:{d}", q) for d, q in self._device_buffers.items()]
+        return walk
+
+    def drops(self) -> dict[str, int]:
+        """Items dropped so far, by the name of each queue that dropped any."""
+        return {name: q.dropped for name, q in self.queues() if q.dropped}
+
+    def reconcile(self, emitted: int) -> list[str]:
+        """What fails to add up once the stack has drained; empty when all does.
+
+        Every queue must be conserved, the feed handler must account for what
+        it received (published + dead-lettered), and every reading emitted
+        must be filed, failed by the filer, dead-lettered or dropped on the
+        filer path. That path is every broker queue, every MQTT inbound queue
+        and the filer's subscription (its drops and stale drops); the other
+        subscriptions branch off it.
+        """
+        walk = self.queues()
+        problems = [f"{name} not conserved" for name, q in walk if not q.conserved()]
+        fh, filer = self.feedhandler, self.filer
+        if fh.received != fh.published + fh.deadlettered:
+            problems.append(f"feedhandler received {fh.received} != published "
+                            f"{fh.published} + deadlettered {fh.deadlettered}")
+        lost = sum(q.dropped for name, q in walk
+                   if name.startswith(("broker.", "feedhandler.")))
+        lost += sum(s.drops + s.stale_drops for s in self.rts.bus.subscriptions()
+                    if s.owner == filer.name)
+        if emitted != filer.lines_written + filer.errors + fh.deadlettered + lost:
+            problems.append(f"emitted {emitted} != filed {filer.lines_written} + filer errors "
+                            f"{filer.errors} + deadlettered {fh.deadlettered} + dropped on "
+                            f"the filer path {lost}")
+        return problems
 
     def audit(self) -> list[dict]:
         return self.rts.bus.audit()

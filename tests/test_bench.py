@@ -205,6 +205,23 @@ def test_small_experiment_shape():
     assert result.drained and result.conserved()
 
 
+def test_experiment_walks_every_queue():
+    """Every broker session, both bridge-ins, the feed handler's inbound queue,
+    every bus subscription and every device buffer is walked by name."""
+    result = asyncio.run(bench.run_experiment(10, 2.0, seed=3))
+    names = set(result.queues)
+    assert {"broker.local.session:sim-wifi", "broker.local.session:rts-feedhandler",
+            "broker.ttn.session:sim-ttn", "broker.zigbee.session:zigbee-translator",
+            "feedhandler.inbound"} <= names
+    for broker in ("ttn", "zigbee"):
+        assert sum(n.startswith(f"broker.{broker}.session:bridge-local-") for n in names) == 1
+    assert sum(n.startswith("broker.local.bridge-in:") for n in names) == 2
+    assert {f"bus.{row['owner']}:{row['filter']}" for row in result.audit} <= names
+    assert {f"device:{d}" for d in result.categories} <= names
+    assert result.drops == {}
+    assert result.drained and result.conserved()
+
+
 def test_experiment_zero_sensors():
     result = asyncio.run(bench.run_experiment(0, 1.0, seed=1))
     assert len(result.taps.records) == 0

@@ -4,6 +4,7 @@ import asyncio
 
 import pytest
 
+from sensert import pipe
 from sensert.broker import Broker, BridgeRule
 from sensert.mqtt_client import MqttClient
 
@@ -289,6 +290,43 @@ def test_bridge_in_goes_through_the_client_inbound_queue():
         assert local.pending_frames() == 0
         await sub.close()
         await pub.close()
+        await local.stop()
+        await remote.stop()
+
+    run(main())
+
+
+def test_bridge_retries_past_a_peer_that_is_not_mqtt(monkeypatch):
+    """A remote that answers HTTP does not end the bridge: it keeps retrying
+    and connects once a broker listens there."""
+    monkeypatch.setattr(pipe, "BACKOFF_BASE_S", 0.05)
+
+    async def main():
+        answered = 0
+
+        async def http_server(reader, writer):
+            nonlocal answered
+            answered += 1
+            writer.write(b"HTTP/1.1 400 Bad Request\r\n\r\n")
+            await writer.drain()
+            writer.close()
+
+        fake = await asyncio.start_server(http_server, "127.0.0.1", 0)
+        port = fake.sockets[0].getsockname()[1]
+        local = await _broker("local")
+        bridge = local.add_bridge(BridgeRule(
+            remote=f"127.0.0.1:{port}", direction="in", filter="#"))
+        for _ in range(300):
+            if answered >= 2:
+                break
+            await asyncio.sleep(0.01)
+        assert answered >= 2
+        fake.close()
+        await fake.wait_closed()
+
+        remote = Broker(name="remote")
+        await remote.start("127.0.0.1", port)
+        await _wait_connected(bridge)
         await local.stop()
         await remote.stop()
 

@@ -20,6 +20,7 @@ def run(coro):
 ops = st.lists(st.one_of(
     st.tuples(st.just("put"), st.integers()),
     st.just(("get",)),
+    st.just(("peek",)),
     st.just(("close",)),
 ), max_size=200)
 
@@ -50,6 +51,9 @@ def test_bounded_queue_matches_list_model(capacity, overflow, ops):
             expected = model.pop(0) if model else None
             delivered += expected is not None
             assert q.get_nowait() == expected
+        elif op[0] == "peek":
+            # the head that the next get_nowait returns; no counter moves
+            assert q.peek() == (model[0] if model else None)
         else:
             closed = True
             q.close()
@@ -148,7 +152,7 @@ def test_mqtt_client_inbound_overflow_counted():
             if sub.inbound.offered == 5:
                 break
             await asyncio.sleep(0.01)
-        assert (sub.inbound.offered, sub.inbound.dropped, sub.inbound_pending()) == (5, 3, 2)
+        assert (sub.inbound.offered, sub.inbound.dropped, sub.inbound.pending) == (5, 3, 2)
         await pub.close()
         await broker.stop()
         await sub.wait_closed()

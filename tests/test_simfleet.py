@@ -189,7 +189,7 @@ def test_run_fleet_emission_counts():
         counts = log.counts()
         assert abs(counts["p1"] - 10) <= 1
         assert abs(counts["p2"] - 4) <= 1
-        assert log.drops == {}
+        assert all(q.dropped == 0 for q in runner.buffers.values())
         await transports.stop()
         await local.stop()
 
@@ -262,9 +262,10 @@ def test_transport_down_buffers_then_drops():
                              transports, seed=1)
         log = await runner.run(duration_s=1.5)
         assert len(log) == 0  # nothing was actually sent
-        buffered = len(runner._buffers["p1"])
-        assert buffered == 100  # buffer capped
-        assert log.drops.get("p1", 0) > 0
+        buffer = runner.buffers["p1"]
+        assert buffer.pending == 100  # buffer capped
+        assert buffer.dropped > 0
+        assert buffer.offered == buffer.delivered + buffer.dropped + buffer.pending
         return None
 
     run(main())
@@ -295,6 +296,26 @@ def test_deconz_ws_to_translator_to_broker():
         await translator.stop()
         await server.stop()
         await zigbee.stop()
+
+    run(main())
+
+
+def test_deconz_uplink_fails_fast_without_a_translator():
+    """With no websocket client connected, ZigBee readings stay in the device
+    buffer instead of being logged as emitted and lost."""
+
+    async def main():
+        taps = []
+        server = DeconzWsServer(on_push=lambda topic, payload, t: taps.append(topic))
+        await server.start()
+        transports = Transports(local=("127.0.0.1", 1), deconz=server)
+        runner = FleetRunner([DeviceProfile("z1", "zigbee_motion", period_s=0.05)],
+                             transports, seed=1)
+        log = await runner.run(duration_s=0.3)
+        assert len(log) == 0 and server.pushed == 0 and taps == []
+        buffer = runner.buffers["z1"]
+        assert buffer.pending == buffer.offered > 0
+        await server.stop()
 
     run(main())
 

@@ -11,6 +11,7 @@ import pytest
 from sensert import bench, stack
 from sensert.bench import TapCollector, extract_msg_key, make_fleet
 from sensert.cli import build_parser, main
+from sensert.mqtt_client import MqttClient
 from sensert.rts.monitor import DataMonitor
 from sensert.simfleet import DeviceProfile
 from sensert.stack import DemoResult, Stack, StackConfig, run_demo
@@ -198,6 +199,53 @@ def test_meta_cli_roundtrip(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "d1"
 
     assert main(["meta", "--root", str(root), "asof", "d1", "50"]) == 1
+
+
+@pytest.mark.parametrize("argv", [["asof", "d1", "abc"], ["ls", "b", "--at", "abc"]])
+def test_meta_cli_bad_time_is_a_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["meta", "--root", str(tmp_path / "store"), *argv])
+    assert exc.value.code == 2
+    assert "ISO-8601 time or epoch ms, got 'abc'" in capsys.readouterr().err
+
+
+def test_meta_cli_accepts_epoch_zero(tmp_path, capsys):
+    root = str(tmp_path / "store")
+    assert main(["meta", "--root", root, "asof", "d1", "1970-01-01T00:00:00Z"]) == 1
+    assert capsys.readouterr().out.strip() == "no record"
+
+
+def test_stalled_consumer_drops_are_named_and_the_count_closes(tmp_path):
+    """The feed handler stops reading its broker socket until its session queue
+    on the local broker overflows. The walk names those drops, and every
+    reading published is filed or counted as dropped on the filer path."""
+
+    async def main_():
+        stack = Stack(StackConfig(data_root=tmp_path))
+        await stack.start()
+        name = "broker.local.session:rts-feedhandler"
+        stalled = dict(stack.queues())[name]
+        feed_socket = stack.feedhandler.client._writer.transport
+        feed_socket.pause_reading()
+        pub = await MqttClient.connect(*stack.local.address, client_id="plugs")
+        pad = "x" * 2048
+        sent = 0
+        while stalled.dropped < 100 and sent < 50_000:
+            payload = json.dumps({"ENERGY": {"Power": 5.0}, "pad": pad, "n": sent})
+            await pub.publish(f"tele/plug-{sent % 10}/SENSOR", payload.encode())
+            sent += 1
+            await asyncio.sleep(0)
+        feed_socket.resume_reading()
+        assert await stack.drain(timeout_s=30)
+
+        assert stack.drops()[name] == stalled.dropped >= 100
+        assert stack.reconcile(sent) == []
+        assert stack.filer.lines_written == sent - stalled.dropped
+        assert stack.reconcile(sent + 1) != []  # one reading unaccounted for is seen
+        await pub.close()
+        await stack.stop()
+
+    run(main_())
 
 
 def test_stack_standalone_components(tmp_path):

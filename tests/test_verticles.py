@@ -267,6 +267,31 @@ def test_filer_latest_keeps_maximal_ts(tmp_path):
     run(main())
 
 
+@pytest.mark.parametrize("stored", ['{"ts": null}', "[]"])
+def test_filer_treats_latest_without_int_ts_as_unknown(tmp_path, stored):
+    """A bad latest.json is replaced, and the filer goes on to file others."""
+
+    async def main():
+        (tmp_path / "p1").mkdir()
+        (tmp_path / "p1" / "latest.json").write_text(stored)
+        rts = RealTimeServer()
+        filer = MessageFiler(tmp_path)
+        await rts.deploy(filer)
+        ts = 1_590_998_400_000
+        rts.bus.publish("feed/smartplug/p1", plug_msg("p1", ts=ts))
+        rts.bus.publish("feed/smartplug/p2", plug_msg("p2", ts=ts + 1000))
+        for _ in range(100):
+            if filer.lines_written == 2:
+                break
+            await asyncio.sleep(0.01)
+        assert filer.lines_written == 2
+        assert json.loads((tmp_path / "p1" / "latest.json").read_text())["ts"] == ts
+        assert json.loads((tmp_path / "p2" / "latest.json").read_text())["ts"] == ts + 1000
+        await rts.stop()
+
+    run(main())
+
+
 def test_filer_utc_date_rollover(tmp_path):
     async def main():
         rts = RealTimeServer()
