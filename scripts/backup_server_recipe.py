@@ -44,9 +44,10 @@ async def run(backup_root: Path) -> bool:
 
     # backup server: ingests the routed stream and files it
     backup = RealTimeServer()
-    await backup.deploy(FeedHandler(*peer.address))
+    backup_feed = FeedHandler(*peer.address)
+    await backup.deploy(backup_feed)
     await backup.deploy(MessageFiler(backup_root))
-    await asyncio.sleep(0.3)
+    await asyncio.wait_for(backup_feed.link.up.wait(), 10)
 
     profiles = [DeviceProfile(f"plug-{i}", "smartplug", period_s=0.2) for i in range(3)]
     log = await primary.run_fleet(profiles, scenario=None, duration_s=3.0)

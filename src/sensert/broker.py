@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import wire
-from .mqtt_client import MqttClient, MqttError
-from .pipe import BoundedQueue, connect_with_backoff, now_ms
+from .mqtt_client import MqttClient, MqttError, subscribed
+from .pipe import BoundedQueue, Link, now_ms
 
 log = logging.getLogger(__name__)
 
@@ -221,8 +221,8 @@ class Broker:
         ``bridge-in:<remote>``)."""
         prefix = f"broker.{self.name}."
         walk = [(prefix + s.name, s.queue) for s in self._subscribers.values()]
-        walk += [(f"{prefix}bridge-in:{b.rule.remote}", b._client.inbound)
-                 for b in self._bridges if b._client is not None]
+        walk += [(f"{prefix}bridge-in:{b.rule.remote}", b.link.conn.inbound)
+                 for b in self._bridges if b.link.conn is not None]
         return walk
 
     def pending_frames(self) -> int:
@@ -316,19 +316,17 @@ class Bridge:
 
     Because both its in-subscription and out-forwarding share that single
     connection (one link id locally, one session remotely), ingress-link
-    exclusion on either side prevents echo loops.
+    exclusion on either side prevents echo loops. ``link.up`` is set once
+    the remote has acknowledged the in-filter.
     """
 
     def __init__(self, broker: Broker, rule: BridgeRule):
         self.broker = broker
         self.rule = rule
         self.link_id = broker.new_link_id()
-        self.connected = asyncio.Event()
+        self.link: Link[MqttClient] = Link(self._open, self._serve)
         self._out_sub: _Subscriber | None = None
         self._task: asyncio.Task | None = None
-        self._forward_task: asyncio.Task | None = None
-        self._client: MqttClient | None = None
-        self._stopping = False
         if rule.direction in ("out", "both"):
             self._out_sub = _Subscriber(self.link_id, broker._max_session_queue, broker.stats)
             self._out_sub.name = f"bridge-out:{rule.remote}"
@@ -337,51 +335,36 @@ class Bridge:
 
     def start(self) -> None:
         if self._task is None:
-            self._task = asyncio.create_task(self._run())
+            self._task = asyncio.create_task(self.link.run())
 
     async def stop(self) -> None:
-        self._stopping = True
-        for task in (self._task, self._forward_task):
-            if task is not None:
-                task.cancel()
         if self._out_sub is not None:
             self.broker.unregister_subscriber(self._out_sub)
-        if self._client is not None:
-            await self._client.close()
         if self._task is not None:
+            self._task.cancel()
             await asyncio.gather(self._task, return_exceptions=True)
 
-    async def _run(self) -> None:
-        while not self._stopping:
-            client = await connect_with_backoff(lambda: MqttClient.connect(
-                self.rule.remote_host, self.rule.remote_port,
-                client_id=f"bridge-{self.broker.name}-{self.link_id}",
-                keep_alive_s=30))
-            self._client = client
-            try:
-                if self.rule.direction in ("in", "both"):
-                    await client.subscribe([self.rule.filter])
-                if self._out_sub is not None:
-                    self._forward_task = asyncio.create_task(self._forward_out(client))
-                self.connected.set()
-                await self._forward_in(client)
-            except (MqttError, ConnectionError, OSError, asyncio.TimeoutError):
-                pass
-            finally:
-                self.connected.clear()
-                if self._forward_task is not None:
-                    self._forward_task.cancel()
-                    await asyncio.gather(self._forward_task, return_exceptions=True)
-                    self._forward_task = None
-                await client.close()
-                self._client = None
+    async def _open(self) -> MqttClient:
+        client = await MqttClient.connect(
+            self.rule.remote_host, self.rule.remote_port,
+            client_id=f"bridge-{self.broker.name}-{self.link_id}", keep_alive_s=30)
+        if self.rule.direction == "out":
+            return client
+        return await subscribed(client, [self.rule.filter])
 
-    async def _forward_in(self, client: MqttClient) -> None:
-        """Route what the remote sends until the connection closes (MqttError)."""
+    async def _serve(self, client: MqttClient) -> None:
+        """Route what the remote sends until the connection closes (MqttError),
+        forwarding the out-queue to it meanwhile."""
+        forward = asyncio.create_task(self._forward_out(client)) if self._out_sub else None
         prefix = f"{self.rule.local_prefix}/" if self.rule.local_prefix else ""
-        while True:
-            topic, payload, _retain = await client.next_message()
-            self.broker.route_publish(self.link_id, prefix + topic, payload, from_bridge=True)
+        try:
+            while True:
+                topic, payload, _retain = await client.next_message()
+                self.broker.route_publish(self.link_id, prefix + topic, payload, from_bridge=True)
+        finally:
+            if forward is not None:
+                forward.cancel()
+                await asyncio.gather(forward, return_exceptions=True)
 
     async def _forward_out(self, client: MqttClient) -> None:
         assert self._out_sub is not None

@@ -180,3 +180,13 @@ class MqttClient:
                 self._writer.close()
             except Exception:
                 pass
+
+
+async def subscribed(client: MqttClient, filters: list[str]) -> MqttClient:
+    """``client`` once the broker has acknowledged ``filters``; closed if not."""
+    try:
+        await client.subscribe(filters)
+    except BaseException:
+        await client.close()
+        raise
+    return client

@@ -1,4 +1,4 @@
-"""The pipeline's shared primitives: one drop-queue, one reconnect policy, one clock.
+"""The pipeline's shared primitives: one drop-queue, one connection path, one clock.
 
 Every hop that decouples a producer from a consumer is a
 :class:`BoundedQueue`: simulated device buffers, broker sessions,
@@ -15,8 +15,8 @@ emitted = filed + filer errors + dead-lettered + dropped on the filer path)
 all read it.
 
 Every outbound connection (bridges, the feed handler, the router, the
-simulator's uplinks, the ZigBee translator) is (re)established through
-:func:`connect_with_backoff`.
+simulator's uplinks, the ZigBee translator) is a :class:`Link`, whose ``up``
+is set only while the connection can carry traffic.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from typing import Awaitable, Callable, Generic, Literal, TypeVar
 log = logging.getLogger(__name__)
 
 T = TypeVar("T")
+C = TypeVar("C")  # a connection: anything with ``async close()``
 
 Overflow = Literal["drop_oldest", "drop_newest"]
 
@@ -118,17 +119,44 @@ class BoundedQueue(Generic[T]):
         self._wake.set()
 
 
-async def connect_with_backoff(connect: Callable[[], Awaitable[T]]) -> T:
-    """Await ``connect()`` until it succeeds.
+class Link(Generic[C]):
+    """One outbound connection, kept up by :meth:`run`.
 
-    The first attempt runs at once; after each failure wait 0.5 s, doubling
-    per consecutive failure up to 30 s.
+    ``connect()`` does all a connection needs before it carries traffic
+    (handshakes, subscriptions), so ``up`` is set exactly while ``conn``
+    (None while down) is ready. Network failures are ``OSError`` (as
+    ``MqttError`` and ``WsError`` are) and ``asyncio.TimeoutError``; any
+    other exception propagates.
     """
-    delay = BACKOFF_BASE_S
-    while True:
-        try:
-            return await connect()
-        except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
-            log.info("connect failed (%r); retry in %.1fs", exc, delay)
-        await asyncio.sleep(delay)
-        delay = min(delay * 2, BACKOFF_CAP_S)
+
+    def __init__(self, connect: Callable[[], Awaitable[C]],
+                 serve: Callable[[C], Awaitable[None]]):
+        self._connect = connect
+        self._serve = serve
+        self.conn: C | None = None
+        self.up = asyncio.Event()
+
+    async def run(self) -> None:
+        """Connect, ``serve(conn)`` until it ends, close, repeat. Failed
+        connects wait 0.5 s, doubling up to 30 s; the first attempt and the
+        one after a lost connection run at once. Cancelling closes ``conn``."""
+        delay = BACKOFF_BASE_S
+        while True:
+            try:
+                conn = await self._connect()
+            except (OSError, asyncio.TimeoutError) as exc:
+                log.info("connect failed (%r); retry in %.1fs", exc, delay)
+                await asyncio.sleep(delay)
+                delay = min(delay * 2, BACKOFF_CAP_S)
+                continue
+            delay = BACKOFF_BASE_S
+            self.conn = conn
+            self.up.set()
+            try:
+                await self._serve(conn)
+            except (OSError, asyncio.TimeoutError) as exc:
+                log.info("connection lost (%r); reconnecting", exc)
+            finally:
+                self.up.clear()
+                self.conn = None
+                await conn.close()

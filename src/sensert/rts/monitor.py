@@ -43,6 +43,7 @@ class DataMonitor(Verticle):
         self.address: tuple[str, int] | None = None
         self.clients_served = 0
         self._server: asyncio.AbstractServer | None = None
+        self._conns: dict[asyncio.Task, asyncio.StreamWriter] = {}  # handler -> its client
 
     async def start(self, bus) -> None:
         await super().start(bus)
@@ -55,10 +56,17 @@ class DataMonitor(Verticle):
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+        # the server's wait_closed does not wait for its connections: end each
+        # one here, so its handler closes its socket before the loop is gone
+        for writer in self._conns.values():
+            writer.transport.abort()
+        await asyncio.gather(*self._conns, return_exceptions=True)
         await super().stop()
 
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         self.clients_served += 1
+        me = asyncio.current_task()
+        self._conns[me] = writer
         subs: dict[str, Subscription] = {}
         pumps: dict[str, asyncio.Task] = {}
 
@@ -118,15 +126,18 @@ class DataMonitor(Verticle):
         except (ConnectionError, OSError, asyncio.LimitOverrunError, ValueError):
             pass  # oversized/garbled request line: drop the connection quietly
         finally:
+            # everything but the last line is synchronous: a second cancel
+            # during the await below must not leave the socket open
+            del self._conns[me]
             for task in pumps.values():
                 task.cancel()
-            await asyncio.gather(*pumps.values(), return_exceptions=True)
             for sub in subs.values():
                 self.bus.unsubscribe(sub)
             try:
                 writer.close()
             except Exception:
                 pass
+            await asyncio.gather(*pumps.values(), return_exceptions=True)
 
 
 class MonitorClient:

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import asyncio
 import json
-import logging
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -12,19 +10,12 @@ from pathlib import Path
 from typing import IO
 
 from ..decoders import NormalizedMessage, RawSensorMessage, default_registry
-from ..mqtt_client import MqttClient, MqttError
-from ..pipe import connect_with_backoff, now_ms
+from ..mqtt_client import MqttClient, subscribed
+from ..pipe import Link, now_ms
 from .bus import DerivedEvent, SubscriptionPolicy
 from .coffee import CoffeeConfig, CoffeeState, DEFAULT_CONFIG, coffee_step
 from .monitor import encode_body
 from .server import Verticle
-
-log = logging.getLogger(__name__)
-
-
-async def _backoff_connect(host: str, port: int, client_id: str) -> MqttClient:
-    return await connect_with_backoff(
-        lambda: MqttClient.connect(host, port, client_id=client_id, keep_alive_s=30))
 
 
 class FeedHandler(Verticle):
@@ -40,45 +31,34 @@ class FeedHandler(Verticle):
         self.received = 0
         self.published = 0
         self.deadlettered = 0
-        self.client: MqttClient | None = None  # the broker connection, None while down
+        self.link: Link[MqttClient] = Link(self._open, self._serve)  # up once subscribed to #
 
     def pending(self) -> int:
-        client = self.client
+        client = self.link.conn
         return client.inbound.pending if client is not None else 0
 
     async def start(self, bus) -> None:
         await super().start(bus)
-        self.spawn(self._run())
+        self.spawn(self.link.run())
 
-    async def stop(self) -> None:
-        await super().stop()
-        if self.client is not None:
-            await self.client.close()
+    async def _open(self) -> MqttClient:
+        client = await MqttClient.connect(self.host, self.port,
+                                          client_id=f"rts-{self.name}", keep_alive_s=30)
+        return await subscribed(client, ["#"])
 
-    async def _run(self) -> None:
+    async def _serve(self, client: MqttClient) -> None:
         while True:
-            client = await _backoff_connect(self.host, self.port,
-                                            client_id=f"rts-{self.name}")
-            self.client = client
-            try:
-                await client.subscribe(["#"])
-                while True:
-                    topic, payload, _retain = await client.next_message()
-                    self.received += 1
-                    raw = RawSensorMessage(topic=topic, payload=payload, received_at=now_ms())
-                    result = self.registry.normalize_or_deadletter(raw)
-                    if isinstance(result, NormalizedMessage):
-                        address = f"feed/{result.family}/{result.device_id}"
-                        self.bus.publish(address, result, publisher=self.name)
-                        self.published += 1
-                    else:
-                        self.bus.publish("feed/deadletter", result, publisher=self.name)
-                        self.deadlettered += 1
-            except (MqttError, ConnectionError, OSError, asyncio.TimeoutError):
-                log.info("%s: broker connection lost, reconnecting", self.name)
-            finally:
-                await client.close()
-                self.client = None
+            topic, payload, _retain = await client.next_message()
+            self.received += 1
+            raw = RawSensorMessage(topic=topic, payload=payload, received_at=now_ms())
+            result = self.registry.normalize_or_deadletter(raw)
+            if isinstance(result, NormalizedMessage):
+                address = f"feed/{result.family}/{result.device_id}"
+                self.bus.publish(address, result, publisher=self.name)
+                self.published += 1
+            else:
+                self.bus.publish("feed/deadletter", result, publisher=self.name)
+                self.deadlettered += 1
 
 
 class MessageFiler(Verticle):
@@ -102,7 +82,8 @@ class MessageFiler(Verticle):
     async def start(self, bus) -> None:
         await super().start(bus)
         self.data_root.mkdir(parents=True, exist_ok=True)
-        sub = self.subscribe("feed/#", SubscriptionPolicy(queue_capacity=8192))
+        # readings only: feed/deadletter is counted where it is made, not here
+        sub = self.subscribe("feed/+/+", SubscriptionPolicy(queue_capacity=8192))
         self.spawn(self._run(sub))
 
     async def stop(self) -> None:
@@ -302,33 +283,32 @@ class MessageRouter(Verticle):
         super().__init__()
         self.routes = routes
         self.forwarded = 0
+        self.links: list[Link[MqttClient]] = []  # one per route, in order
 
     async def start(self, bus) -> None:
         await super().start(bus)
         for index, route in enumerate(self.routes):
             sub = self.subscribe(route.filter, SubscriptionPolicy(queue_capacity=10_000))
-            self.spawn(self._pump(index, route, sub))
+            self.links.append(self._route_link(index, route, sub))
+            self.spawn(self.links[-1].run())
 
-    async def _pump(self, index: int, route: RouteRule, sub) -> None:
+    def _route_link(self, index: int, route: RouteRule, sub) -> Link[MqttClient]:
         # one client id per route: two routes to one peer must not supersede each other
         client_id = f"rts-router-{id(self) & 0xFFFF}-{index}"
         host, _, port = route.remote.rpartition(":")
-        client: MqttClient | None = None
+        # an envelope taken from sub but not yet published survives reconnects
         pending: tuple[str, bytes] | None = None
-        try:
+
+        async def serve(client: MqttClient) -> None:
+            nonlocal pending
             while True:
                 if pending is None:
                     env = await sub.get()
                     pending = (route.topic_template.format(address=env.address),
                                encode_body(env.body))
-                if client is None or client.closed:
-                    client = await _backoff_connect(host, int(port), client_id=client_id)
-                try:
-                    await client.publish(pending[0], pending[1])
-                    self.forwarded += 1
-                    pending = None
-                except (MqttError, ConnectionError, OSError):
-                    pass  # the client is closed now; reconnect on the next turn
-        finally:
-            if client is not None:
-                await client.close()
+                await client.publish(*pending)
+                pending = None
+                self.forwarded += 1
+
+        return Link(lambda: MqttClient.connect(host, int(port), client_id=client_id,
+                                               keep_alive_s=30), serve)

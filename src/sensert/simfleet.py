@@ -23,11 +23,11 @@ import random
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .decoders import RawSensorMessage
 from .mqtt_client import MqttClient, MqttError
-from .pipe import BoundedQueue, connect_with_backoff, now_ms
+from .pipe import BoundedQueue, Link, now_ms
 from .ws import WsConnection, ws_connect, ws_handshake_server
 
 log = logging.getLogger(__name__)
@@ -394,6 +394,17 @@ class DeconzWsServer:
                     self._clients.remove(conn)
 
 
+class _GatewaySession(NamedTuple):
+    """The translator's connection: the gateway websocket and the broker client."""
+
+    ws: WsConnection
+    client: MqttClient
+
+    async def close(self) -> None:
+        await self.ws.close()
+        await self.client.close()
+
+
 class ZigbeeTranslator:
     """Read/write bridge: gateway websocket events onto the zigbee broker."""
 
@@ -401,47 +412,40 @@ class ZigbeeTranslator:
         self.ws_addr = (ws_host, ws_port)
         self.broker_addr = (broker_host, broker_port)
         self.forwarded = 0
+        self.link: Link[_GatewaySession] = Link(self._open, self._serve)
         self._task: asyncio.Task | None = None
 
     async def start(self) -> None:
-        self._task = asyncio.create_task(self._run())
+        self._task = asyncio.create_task(self.link.run())
 
     async def stop(self) -> None:
         if self._task is not None:
             self._task.cancel()
             await asyncio.gather(self._task, return_exceptions=True)
 
-    async def _connect(self) -> tuple[WsConnection, MqttClient]:
+    async def _open(self) -> _GatewaySession:
         ws = await ws_connect(*self.ws_addr)
         try:
             client = await MqttClient.connect(*self.broker_addr, client_id="zigbee-translator")
         except BaseException:
             await ws.close()
             raise
-        return ws, client
+        return _GatewaySession(ws, client)
 
-    async def _run(self) -> None:
-        while True:
-            ws, client = await connect_with_backoff(self._connect)
+    async def _serve(self, session: _GatewaySession) -> None:
+        while (text := await session.ws.recv_text()) is not None:
             try:
-                while (text := await ws.recv_text()) is not None:
-                    try:
-                        event = json.loads(text)
-                    except ValueError:
-                        continue
-                    if not isinstance(event, dict):
-                        continue
-                    try:
-                        await client.publish(f"zigbee/{event.get('id', 'unknown')}/state",
+                event = json.loads(text)
+            except ValueError:
+                continue
+            if not isinstance(event, dict):
+                continue
+            try:
+                await session.client.publish(f"zigbee/{event.get('id', 'unknown')}/state",
                                              text.encode())
-                    except ValueError:  # the id makes no valid topic name
-                        continue
-                    self.forwarded += 1
-            except (ConnectionError, OSError, asyncio.TimeoutError):
-                pass
-            finally:
-                await ws.close()
-                await client.close()
+            except ValueError:  # the id makes no valid topic name
+                continue
+            self.forwarded += 1
 
 
 # --- transports -------------------------------------------------------------------
@@ -455,29 +459,22 @@ class _MqttTransport:
     """Keeps one broker connection alive; publish fails fast while down."""
 
     def __init__(self, host: str, port: int, name: str):
-        self.host = host
-        self.port = port
         self.name = name
-        self._client: MqttClient | None = None
+        self.link: Link[MqttClient] = Link(
+            lambda: MqttClient.connect(host, port, client_id=f"sim-{name}"),
+            MqttClient.wait_closed)
         self._task: asyncio.Task | None = None
 
     async def start(self) -> None:
-        self._task = asyncio.create_task(self._maintain())
+        self._task = asyncio.create_task(self.link.run())
         # give the first connect a moment; devices buffer if it is slow
-        for _ in range(50):
-            if self._client is not None:
-                return
-            await asyncio.sleep(0.05)
-
-    async def _maintain(self) -> None:
-        while True:
-            self._client = await connect_with_backoff(lambda: MqttClient.connect(
-                self.host, self.port, client_id=f"sim-{self.name}"))
-            await self._client.wait_closed()
-            self._client = None
+        try:
+            await asyncio.wait_for(self.link.up.wait(), 2.5)
+        except asyncio.TimeoutError:
+            pass
 
     def publish(self, topic: str, payload: bytes) -> None:
-        client = self._client
+        client = self.link.conn
         if client is None or client.closed:
             raise TransportDown(self.name)
         try:
@@ -489,8 +486,6 @@ class _MqttTransport:
         if self._task is not None:
             self._task.cancel()
             await asyncio.gather(self._task, return_exceptions=True)
-        if self._client is not None:
-            await self._client.close()
 
 
 class Transports:
@@ -501,16 +496,15 @@ class Transports:
         self._wifi = _MqttTransport(*local, name="wifi")
         self._ttn = _MqttTransport(*ttn, name="ttn") if ttn else None
         self._deconz = deconz
+        self.uplinks = [t for t in (self._wifi, self._ttn) if t is not None]
 
     async def start(self) -> None:
-        await self._wifi.start()
-        if self._ttn is not None:
-            await self._ttn.start()
+        for uplink in self.uplinks:
+            await uplink.start()
 
     async def stop(self) -> None:
-        await self._wifi.stop()
-        if self._ttn is not None:
-            await self._ttn.stop()
+        for uplink in self.uplinks:
+            await uplink.stop()
 
     def publish(self, transport: str, topic: str, payload: dict) -> None:
         """Synchronous send: pairs atomically with the caller's emission log."""

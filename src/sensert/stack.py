@@ -103,6 +103,10 @@ class Stack:
     # --- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
+        """Start every component and return once every outbound link is up
+        (``asyncio.TimeoutError`` after 10 s). Up means ready: the bridges and
+        the feed handler are subscribed, the translator and both uplinks are
+        connected, so a reading sent as soon as this returns is filed."""
         cfg = self.config
         taps = self.taps
         if cfg.data_root is None:
@@ -163,10 +167,9 @@ class Stack:
         self.transports = Transports(local=self.local.address, ttn=self.ttn.address,
                                      deconz=self.deconz)
         await self.transports.start()
-        # wait for the bridges so early emissions are not lost
-        for bridge in self.local._bridges:
-            await asyncio.wait_for(bridge.connected.wait(), 10)
-        await asyncio.sleep(0.2)  # feedhandler + translator subscriptions settle
+        links = [b.link for b in self.local._bridges] + [u.link for u in self.transports.uplinks]
+        links += [self.feedhandler.link, self.translator.link]
+        await asyncio.wait_for(asyncio.gather(*(link.up.wait() for link in links)), 10)
 
     async def run_fleet(self, profiles: list[DeviceProfile],
                         scenario: ScenarioScript | None,
@@ -213,8 +216,8 @@ class Stack:
         and the last ``run_fleet``'s device buffers (``device:<id>``)."""
         walk = [pair for broker in (self.local, self.ttn, self.zigbee)
                 for pair in broker.queues()]
-        if self.feedhandler.client is not None:
-            walk.append(("feedhandler.inbound", self.feedhandler.client.inbound))
+        if self.feedhandler.link.conn is not None:
+            walk.append(("feedhandler.inbound", self.feedhandler.link.conn.inbound))
         walk += [(f"bus.{s.owner}:{s.filter}", s.queue) for s in self.rts.bus.subscriptions()]
         walk += [(f"device:{d}", q) for d, q in self._device_buffers.items()]
         return walk

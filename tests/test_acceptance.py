@@ -184,8 +184,8 @@ def test_acceptance_2_bridging():
             remote=f"127.0.0.1:{ttn.address[1]}", direction="in", filter="v3/+/devices/#"))
         b2 = local.add_bridge(BridgeRule(
             remote=f"127.0.0.1:{zigbee.address[1]}", direction="in", filter="zigbee/#"))
-        await asyncio.wait_for(b1.connected.wait(), 10)
-        await asyncio.wait_for(b2.connected.wait(), 10)
+        await asyncio.wait_for(b1.link.up.wait(), 10)
+        await asyncio.wait_for(b2.link.up.wait(), 10)
 
         local_sub = await MqttClient.connect(*local.address, client_id="local-count")
         await local_sub.subscribe(["#"])

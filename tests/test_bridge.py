@@ -20,7 +20,7 @@ async def _broker(name="b") -> Broker:
 
 
 async def _wait_connected(bridge, timeout=5.0):
-    await asyncio.wait_for(bridge.connected.wait(), timeout)
+    await asyncio.wait_for(bridge.link.up.wait(), timeout)
 
 
 def test_in_bridge_republishes_locally_same_topic():
@@ -184,7 +184,7 @@ def test_bridge_retries_until_remote_appears():
         bridge = local.add_bridge(BridgeRule(
             remote=f"127.0.0.1:{port}", direction="in", filter="#"))
         await asyncio.sleep(0.7)  # at least one failed attempt
-        assert not bridge.connected.is_set()
+        assert not bridge.link.up.is_set()
 
         remote = Broker(name="late")
         await remote.start("127.0.0.1", port)
@@ -284,7 +284,7 @@ def test_bridge_in_goes_through_the_client_inbound_queue():
         got = [(await sub.next_message(timeout=3))[0] for _ in range(n)]
         assert got == [f"d/{i}" for i in range(n)]
 
-        inbound = bridge._client.inbound
+        inbound = bridge.link.conn.inbound
         assert (inbound.offered, inbound.delivered, inbound.dropped) == (n, n, 0)
         assert inbound.conserved()
         assert local.pending_frames() == 0

@@ -79,10 +79,10 @@ def test_golden_bytes_for_every_hop(tmp_path):
         monitor = DataMonitor()
         await rts.deploy(filer)
         await rts.deploy(monitor)
-        await rts.deploy(MessageRouter([
-            RouteRule(filter="#", remote=f"127.0.0.1:{peer.address[1]}")]))
+        router = MessageRouter([RouteRule(filter="#", remote=f"127.0.0.1:{peer.address[1]}")])
+        await rts.deploy(router)
         reader, writer = await raw_monitor(monitor.address, ["#"])
-        await asyncio.sleep(0.3)  # router connects
+        await asyncio.wait_for(router.links[0].up.wait(), 10)
 
         for address, body in bodies:
             rts.bus.publish(address, body)

@@ -1,4 +1,4 @@
-"""The shared pipeline primitives: BoundedQueue, connect_with_backoff, now_ms."""
+"""The shared pipeline primitives: BoundedQueue, Link, now_ms."""
 
 import asyncio
 import time
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sensert import pipe
 from sensert.broker import Broker
 from sensert.mqtt_client import MqttClient, MqttError
-from sensert.pipe import BoundedQueue, QueueClosed, connect_with_backoff, now_ms
+from sensert.pipe import BoundedQueue, Link, QueueClosed, now_ms
 
 
 def run(coro):
@@ -102,6 +102,17 @@ def test_timed_out_get_loses_no_item():
     run(main())
 
 
+class FakeConn:
+    closed = False
+
+    async def close(self):
+        self.closed = True
+
+
+class Served(Exception):
+    """Ends Link.run from inside serve(): not a network failure."""
+
+
 def test_connect_with_backoff_delays(monkeypatch):
     delays = []
 
@@ -113,14 +124,19 @@ def test_connect_with_backoff_delays(monkeypatch):
     async def connect():
         attempts.append(len(delays))
         if len(attempts) <= 8:
-            raise ConnectionRefusedError("down")
-        return "up"
+            raise (ConnectionRefusedError("down") if len(attempts) % 2
+                   else asyncio.TimeoutError())
+        return FakeConn()
+
+    async def serve(conn):
+        raise Served
 
     async def main():
         monkeypatch.setattr(pipe.asyncio, "sleep", fake_sleep)
-        return await connect_with_backoff(connect)
+        await Link(connect, serve).run()
 
-    assert run(main()) == "up"
+    with pytest.raises(Served):
+        run(main())
     assert attempts[0] == 0  # the first attempt is not delayed
     assert delays == [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0]
 
@@ -130,7 +146,90 @@ def test_connect_with_backoff_propagates_other_errors():
         raise ValueError("bug, not a network failure")
 
     with pytest.raises(ValueError):
-        run(connect_with_backoff(connect))
+        run(Link(connect, None).run())
+
+
+def test_link_delay_resets_after_a_successful_connect(monkeypatch):
+    """Three failures, a connection that is lost, two failures: the delays
+    start over at 0.5 s, and the lost connection is retried at once."""
+    delays = []
+    outcomes = iter(["fail", "fail", "fail", "up", "fail", "fail", "up"])
+    served = []
+
+    async def fake_sleep(delay):
+        delays.append(delay)
+
+    async def connect():
+        if next(outcomes) == "fail":
+            raise ConnectionRefusedError("down")
+        return FakeConn()
+
+    async def serve(conn):
+        served.append(conn)
+        if len(served) == 1:
+            raise ConnectionResetError("lost")
+        raise Served
+
+    async def main():
+        monkeypatch.setattr(pipe.asyncio, "sleep", fake_sleep)
+        await Link(connect, serve).run()
+
+    with pytest.raises(Served):
+        run(main())
+    assert delays == [0.5, 1.0, 2.0, 0.5, 1.0]
+    assert [conn.closed for conn in served] == [True, True]
+
+
+def test_link_up_and_conn_clear_when_the_connection_fails():
+    async def main():
+        conns, lose = [], asyncio.Event()
+
+        async def connect():
+            if conns:  # the second attempt never completes
+                await asyncio.Event().wait()
+            conns.append(FakeConn())
+            return conns[-1]
+
+        async def serve(conn):
+            await lose.wait()
+            raise ConnectionResetError("peer went away")
+
+        link = Link(connect, serve)
+        task = asyncio.create_task(link.run())
+        await asyncio.wait_for(link.up.wait(), 1)
+        assert link.conn is conns[0] and not conns[0].closed
+        lose.set()
+        for _ in range(100):
+            if not link.up.is_set():
+                break
+            await asyncio.sleep(0)
+        assert not link.up.is_set() and link.conn is None
+        assert conns[0].closed
+        task.cancel()
+        await asyncio.gather(task, return_exceptions=True)
+
+    run(main())
+
+
+def test_cancelling_link_run_closes_the_connection():
+    async def main():
+        conn = FakeConn()
+
+        async def connect():
+            return conn
+
+        async def serve(c):
+            await asyncio.Event().wait()
+
+        link = Link(connect, serve)
+        task = asyncio.create_task(link.run())
+        await asyncio.wait_for(link.up.wait(), 1)
+        task.cancel()
+        await asyncio.gather(task, return_exceptions=True)
+        assert task.cancelled()
+        assert conn.closed and link.conn is None and not link.up.is_set()
+
+    run(main())
 
 
 def test_now_ms_is_epoch_ms():

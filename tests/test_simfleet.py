@@ -284,7 +284,7 @@ def test_deconz_ws_to_translator_to_broker():
         await translator.start()
 
         sub = await _collect(zigbee, ["zigbee/#"])
-        await asyncio.sleep(0.3)  # translator connects
+        await asyncio.wait_for(translator.link.up.wait(), 10)
         server.push_event({"e": "changed", "r": "sensors", "id": "m1",
                            "state": {"presence": True}, "sim_t0": 123})
         topic, payload, _ = await sub.next_message(timeout=3)

@@ -12,6 +12,8 @@ from sensert import bench, stack
 from sensert.bench import TapCollector, extract_msg_key, make_fleet
 from sensert.cli import build_parser, main
 from sensert.mqtt_client import MqttClient
+from sensert.rts import verticles
+from sensert.rts.bus import SubscriptionPolicy
 from sensert.rts.monitor import DataMonitor
 from sensert.simfleet import DeviceProfile
 from sensert.stack import DemoResult, Stack, StackConfig, run_demo
@@ -225,7 +227,7 @@ def test_stalled_consumer_drops_are_named_and_the_count_closes(tmp_path):
         await stack.start()
         name = "broker.local.session:rts-feedhandler"
         stalled = dict(stack.queues())[name]
-        feed_socket = stack.feedhandler.client._writer.transport
+        feed_socket = stack.feedhandler.link.conn._writer.transport
         feed_socket.pause_reading()
         pub = await MqttClient.connect(*stack.local.address, client_id="plugs")
         pad = "x" * 2048
@@ -242,6 +244,53 @@ def test_stalled_consumer_drops_are_named_and_the_count_closes(tmp_path):
         assert stack.reconcile(sent) == []
         assert stack.filer.lines_written == sent - stalled.dropped
         assert stack.reconcile(sent + 1) != []  # one reading unaccounted for is seen
+        await pub.close()
+        await stack.stop()
+
+    run(main_())
+
+
+def test_start_returns_only_once_the_feed_handler_is_subscribed(tmp_path, monkeypatch):
+    """The feed handler's CONNECT takes 0.4 s. A reading sent as soon as
+    start() returns must still be filed, not routed to nobody."""
+    connect = MqttClient.connect.__func__
+
+    async def slow_feedhandler_connect(cls, host, port, client_id=None, **kwargs):
+        if client_id == "rts-feedhandler":
+            await asyncio.sleep(0.4)
+        return await connect(cls, host, port, client_id, **kwargs)
+
+    monkeypatch.setattr(MqttClient, "connect", classmethod(slow_feedhandler_connect))
+
+    async def main_():
+        stack = Stack(StackConfig(data_root=tmp_path))
+        await stack.start()
+        stack.transports.publish("wifi_mqtt", "tele/plug-1/SENSOR", {"ENERGY": {"Power": 5.0}})
+        assert await stack.drain()
+        assert stack.filer.lines_written == 1
+        assert stack.reconcile(1) == []
+        await stack.stop()
+
+    run(main_())
+
+
+def test_dead_letters_stay_out_of_the_filer_queue(tmp_path, monkeypatch):
+    """With a one-slot filer queue, dead letters neither fill it nor count
+    twice: each is dead-lettered once and the count closes."""
+    monkeypatch.setattr(verticles, "SubscriptionPolicy",
+                        lambda queue_capacity: SubscriptionPolicy(queue_capacity=1))
+
+    async def main_():
+        stack = Stack(StackConfig(data_root=tmp_path))
+        await stack.start()
+        pub = await MqttClient.connect(*stack.local.address, client_id="garbled")
+        for i in range(2):  # one batch, so the filer cannot take each in turn
+            pub.publish_nowait(f"tele/plug-{i}/SENSOR", b"\xff not json")
+        await pub.publish("tele/plug-2/SENSOR", b"\xff not json")
+        assert await stack.drain()
+        assert stack.feedhandler.deadlettered == 3
+        assert stack.drops() == {}
+        assert stack.reconcile(3) == []
         await pub.close()
         await stack.stop()
 

@@ -651,6 +651,22 @@ def test_datamonitor_malformed_request_keeps_connection():
     run(main())
 
 
+def test_datamonitor_stop_closes_its_client_connections():
+    async def main():
+        rts = RealTimeServer()
+        monitor = DataMonitor()
+        await rts.deploy(monitor)
+        client = await MonitorClient.connect(*monitor.address)
+        await client.subscribe(["feed/#"])
+        await rts.stop()
+        with pytest.raises(ConnectionError):
+            await client.next(timeout=2)
+        assert rts.bus.subscriptions() == []
+        await client.close()
+
+    run(main())
+
+
 def test_datamonitor_unsubscribe():
     async def main():
         rts = RealTimeServer()
