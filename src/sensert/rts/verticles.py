@@ -7,7 +7,6 @@ import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO
 
 from ..decoders import NormalizedMessage, RawSensorMessage, default_registry
 from ..mqtt_client import MqttClient, subscribed
@@ -16,6 +15,9 @@ from .bus import DerivedEvent, SubscriptionPolicy
 from .coffee import CoffeeConfig, CoffeeState, DEFAULT_CONFIG, coffee_step
 from .monitor import encode_body
 from .server import Verticle
+
+DAY_MS = 86_400_000  # a POSIX day: UTC days start at multiples of it
+FILER_BATCH = 256  # envelopes the filer takes from its queue per batch
 
 
 class FeedHandler(Verticle):
@@ -65,8 +67,17 @@ class MessageFiler(Verticle):
     """Bus -> disk: one JSON line per message, plus a latest.json snapshot.
 
     Layout: <data_root>/<device_id>/<YYYY>/<MM>/<DD>.jsonl with the UTC date
-    taken from the reading timestamp. Each device keeps one day file open; a
-    reading on another day closes it and opens (appends to) that day's file.
+    taken from the reading timestamp. The filer works in batches: it takes
+    what is queued (at most FILER_BATCH envelopes), appends each device's
+    lines for one day with one write, then replaces that device's latest.json
+    once, with the batch's maximal-ts reading. A batch never awaits, so once
+    the queue is empty everything taken from it is on disk. Each device keeps
+    one day file open; a reading on another day closes it and opens (appends
+    to) that day's file.
+
+    ``errors`` counts readings whose line was not written; ``latest_errors``
+    counts latest.json replacements that failed. Each failure publishes
+    ``sys/filer/error`` naming the file.
     """
 
     name = "messagefiler"
@@ -74,9 +85,11 @@ class MessageFiler(Verticle):
     def __init__(self, data_root: str | Path):
         super().__init__()
         self.data_root = Path(data_root)
+        self._root = str(self.data_root)  # paths on the hot path are plain str
         self.lines_written = 0
         self.errors = 0
-        self._handles: dict[str, tuple[Path, IO[bytes]]] = {}  # device id -> its open day file
+        self.latest_errors = 0
+        self._handles: dict[str, tuple[int, int]] = {}  # device id -> (day_start_ms, fd)
         self._latest_ts: dict[str, int] = {}
 
     async def start(self, bus) -> None:
@@ -88,64 +101,110 @@ class MessageFiler(Verticle):
 
     async def stop(self) -> None:
         await super().stop()
-        for _path, handle in self._handles.values():
+        for _day_start, fd in self._handles.values():
             try:
-                handle.close()
+                os.close(fd)
             except OSError:
                 pass
         self._handles.clear()
 
     async def _run(self, sub) -> None:
         while True:
-            env = await sub.get()
-            if not isinstance(env.body, NormalizedMessage):
-                continue
+            batch = [await sub.get()]
+            # no await until the batch is on disk: Stack.drain reads an empty queue as filed
+            while len(batch) < FILER_BATCH and (env := sub.get_nowait()) is not None:
+                batch.append(env)
+            self._file_batch(batch)
+
+    def _file_batch(self, batch: list) -> None:
+        days: dict[tuple[str, int], list[NormalizedMessage]] = {}  # in publish order
+        for env in batch:
+            msg = env.body
+            if isinstance(msg, NormalizedMessage):
+                days.setdefault((msg.device_id, msg.ts - msg.ts % DAY_MS), []).append(msg)
+        newest: dict[str, NormalizedMessage] = {}  # device id -> its maximal-ts filed reading
+        for (device_id, day_start), msgs in days.items():
             try:
-                self._file(env.body)
+                _write_all(self._day_fd(device_id, day_start),
+                           b"\n".join([m.encoded for m in msgs]) + b"\n")
             except OSError as exc:
-                self.errors += 1
-                self.bus.publish("sys/filer/error", DerivedEvent(
-                    event_type="filer-error", device_id=env.body.device_id,
-                    ts=now_ms(), attributes={"reason": str(exc)},
-                    source_verticle=self.name), publisher=self.name)
+                self.errors += len(msgs)
+                path = self._day_path(device_id, day_start)
+                for msg in msgs:
+                    self._report(msg, path, exc)
+                continue
+            self.lines_written += len(msgs)
+            best = newest.get(device_id, msgs[0])
+            for msg in msgs:
+                if msg.ts >= best.ts:  # the later one on a tie
+                    best = msg
+            newest[device_id] = best
+        for device_id, msg in newest.items():
+            self._write_latest(device_id, msg)
 
-    def day_path(self, device_id: str, ts: int) -> Path:
-        day = datetime.fromtimestamp(ts / 1000.0, tz=timezone.utc)
-        return (self.data_root / device_id
-                / f"{day.year:04d}" / f"{day.month:02d}" / f"{day.day:02d}.jsonl")
+    def _day_path(self, device_id: str, day_start: int) -> str:
+        day = datetime.fromtimestamp(day_start // 1000, tz=timezone.utc)
+        return f"{self._root}/{device_id}/{day.year:04d}/{day.month:02d}/{day.day:02d}.jsonl"
 
-    def _file(self, msg: NormalizedMessage) -> None:
-        path = self.day_path(msg.device_id, msg.ts)
-        entry = self._handles.get(msg.device_id)
-        if entry is None or entry[0] != path:
-            if entry is not None:  # another day: close the previous day's file
-                self._handles.pop(msg.device_id)[1].close()
-            path.parent.mkdir(parents=True, exist_ok=True)
-            entry = self._handles[msg.device_id] = (path, path.open("ab"))
-        handle = entry[1]
-        handle.write(msg.encoded + b"\n")
-        handle.flush()
-        self.lines_written += 1
-        self._write_latest(msg)
+    def _day_fd(self, device_id: str, day_start: int) -> int:
+        entry = self._handles.get(device_id)
+        if entry is not None:
+            if entry[0] == day_start:
+                return entry[1]
+            del self._handles[device_id]  # another day: close the previous day's file
+            os.close(entry[1])
+        path = self._day_path(device_id, day_start)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666)
+        self._handles[device_id] = (day_start, fd)
+        return fd
 
-    def _write_latest(self, msg: NormalizedMessage) -> None:
-        device_dir = self.data_root / msg.device_id
-        known = self._latest_ts.get(msg.device_id)
+    def _write_latest(self, device_id: str, msg: NormalizedMessage) -> None:
+        path = f"{self._root}/{device_id}/latest.json"
+        known = self._latest_ts.get(device_id)
         if known is None:
-            latest_path = device_dir / "latest.json"
-            if latest_path.exists():
-                try:
-                    stored = json.loads(latest_path.read_text())
-                except (ValueError, OSError):
-                    stored = None
-                ts = stored.get("ts") if isinstance(stored, dict) else None
-                known = ts if isinstance(ts, int) and not isinstance(ts, bool) else None
+            known = _stored_ts(path)
+            if known is not None:
+                self._latest_ts[device_id] = known
         if known is not None and msg.ts < known:
             return
-        self._latest_ts[msg.device_id] = msg.ts
-        tmp = device_dir / "latest.json.tmp"
-        tmp.write_bytes(msg.encoded)
-        os.replace(tmp, device_dir / "latest.json")
+        tmp = path + ".tmp"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            try:
+                _write_all(fd, msg.encoded)
+            finally:
+                os.close(fd)
+            os.replace(tmp, path)
+        except OSError as exc:
+            self.latest_errors += 1
+            self._report(msg, path, exc)
+            return
+        self._latest_ts[device_id] = msg.ts
+
+    def _report(self, msg: NormalizedMessage, path: str, exc: OSError) -> None:
+        self.bus.publish("sys/filer/error", DerivedEvent(
+            event_type="filer-error", device_id=msg.device_id, ts=now_ms(),
+            attributes={"reason": str(exc), "file": path},
+            source_verticle=self.name), publisher=self.name)
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    """os.write until every byte is out: one call may write only part."""
+    done = os.write(fd, data)
+    while done < len(data):
+        done += os.write(fd, memoryview(data)[done:])
+
+
+def _stored_ts(path: str) -> int | None:
+    """The int ts of a stored latest.json, or None when there is none."""
+    try:
+        with open(path, "rb") as f:
+            stored = json.loads(f.read())
+    except (ValueError, OSError):
+        return None
+    ts = stored.get("ts") if isinstance(stored, dict) else None
+    return ts if isinstance(ts, int) and not isinstance(ts, bool) else None
 
 
 @dataclass

@@ -81,7 +81,8 @@ class WsConnection:
         """Next text payload, or None once the connection ends.
 
         A text frame that is not valid UTF-8 closes the connection
-        (RFC 6455 section 8.1).
+        (RFC 6455 section 8.1). Never raises: a malformed frame, an
+        oversized claim or a pong that cannot be sent end the stream.
         """
         while True:
             frame = await self._recv_frame()
@@ -95,7 +96,10 @@ class WsConnection:
                     await self.close()
                     return None
             if opcode == OP_PING:
-                await self._send(OP_PONG, payload)
+                try:
+                    await self._send(OP_PONG, payload)
+                except WsError:  # the peer is gone; so is the stream
+                    return None
             elif opcode == OP_CLOSE:
                 self.closed = True
                 return None

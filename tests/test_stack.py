@@ -297,6 +297,42 @@ def test_dead_letters_stay_out_of_the_filer_queue(tmp_path, monkeypatch):
     run(main_())
 
 
+def test_a_latest_json_failure_is_counted_apart_from_filing(tmp_path):
+    """A reading whose line is written but whose latest.json cannot be
+    replaced is filed, not failed: the count closes, the failure has its own
+    counter and event, and the remembered latest ts does not advance."""
+    (tmp_path / "plug-1" / "latest.json").mkdir(parents=True)
+
+    def reading(second):
+        return {"Time": f"2020-06-01T10:00:0{second}Z", "ENERGY": {"Power": 5.0}}
+
+    async def main_():
+        stack = Stack(StackConfig(data_root=tmp_path))
+        await stack.start()
+        errors = stack.rts.bus.subscribe("sys/filer/error")
+        stack.transports.publish("wifi_mqtt", "tele/plug-1/SENSOR", reading(5))
+        event = (await asyncio.wait_for(errors.get(), 5)).body
+        assert await stack.drain()
+        filer = stack.filer
+        assert (filer.lines_written, filer.errors, filer.latest_errors) == (1, 0, 1)
+        assert stack.filer_line_counts() == {"plug-1": 1}
+        assert stack.reconcile(1) == []
+        assert event.event_type == "filer-error"
+        assert event.attributes["file"] == f"{tmp_path}/plug-1/latest.json"
+
+        # had the failed replace advanced the latest ts, this older reading would be skipped
+        (tmp_path / "plug-1" / "latest.json").rmdir()
+        stack.transports.publish("wifi_mqtt", "tele/plug-1/SENSOR", reading(0))
+        assert await stack.drain()
+        latest = json.loads((tmp_path / "plug-1" / "latest.json").read_text())
+        assert latest["ts"] == 1_591_005_600_000  # 2020-06-01T10:00:00Z
+        assert (filer.lines_written, filer.errors, filer.latest_errors) == (2, 0, 1)
+        assert stack.reconcile(2) == []
+        await stack.stop()
+
+    run(main_())
+
+
 def test_stack_standalone_components(tmp_path):
     """Stack pieces can start with explicit ports and a provided data root."""
 

@@ -102,13 +102,18 @@ def test_feedhandler_reconnects_after_broker_restart():
         host, port = await broker.start("127.0.0.1", 0)
         rts = RealTimeServer()
         sub = rts.bus.subscribe("feed/#")
-        await rts.deploy(FeedHandler(host, port))
-        await asyncio.sleep(0.3)
+        fh = FeedHandler(host, port)
+        await rts.deploy(fh)
+        await asyncio.wait_for(fh.link.up.wait(), 10)
         await broker.stop()
-        await asyncio.sleep(0.2)
+        for _ in range(1000):  # up clears once the link sees the connection end
+            if not fh.link.up.is_set():
+                break
+            await asyncio.sleep(0.01)
+        assert not fh.link.up.is_set()
         broker2 = Broker()
         await broker2.start(host, port)
-        await asyncio.sleep(1.5)  # reconnect backoff
+        await asyncio.wait_for(fh.link.up.wait(), 30)  # after the reconnect backoff
 
         pub = await MqttClient.connect(host, port)
         await pub.publish("tele/p/SENSOR", b'{"ENERGY": {"Power": 1}}')
