@@ -17,7 +17,6 @@ from .monitor import encode_body
 from .server import Verticle
 
 DAY_MS = 86_400_000  # a POSIX day: UTC days start at multiples of it
-FILER_BATCH = 256  # envelopes the filer takes from its queue per batch
 
 
 class FeedHandler(Verticle):
@@ -67,13 +66,12 @@ class MessageFiler(Verticle):
     """Bus -> disk: one JSON line per message, plus a latest.json snapshot.
 
     Layout: <data_root>/<device_id>/<YYYY>/<MM>/<DD>.jsonl with the UTC date
-    taken from the reading timestamp. The filer works in batches: it takes
-    what is queued (at most FILER_BATCH envelopes), appends each device's
-    lines for one day with one write, then replaces that device's latest.json
-    once, with the batch's maximal-ts reading. A batch never awaits, so once
-    the queue is empty everything taken from it is on disk. Each device keeps
-    one day file open; a reading on another day closes it and opens (appends
-    to) that day's file.
+    taken from the reading timestamp. Each reading is one append on a raw fd
+    and, unless it is older than the stored one, one replace of latest.json,
+    on plain str paths. Filing a reading never awaits, so once the queue is
+    empty everything taken from it is on disk. Each device keeps one day
+    file open; a reading on another day closes it and opens (appends to)
+    that day's file.
 
     ``errors`` counts readings whose line was not written; ``latest_errors``
     counts latest.json replacements that failed. Each failure publishes
@@ -110,37 +108,21 @@ class MessageFiler(Verticle):
 
     async def _run(self, sub) -> None:
         while True:
-            batch = [await sub.get()]
-            # no await until the batch is on disk: Stack.drain reads an empty queue as filed
-            while len(batch) < FILER_BATCH and (env := sub.get_nowait()) is not None:
-                batch.append(env)
-            self._file_batch(batch)
-
-    def _file_batch(self, batch: list) -> None:
-        days: dict[tuple[str, int], list[NormalizedMessage]] = {}  # in publish order
-        for env in batch:
-            msg = env.body
+            msg = (await sub.get()).body
+            # no await until the reading is on disk: Stack.drain reads an empty queue as filed
             if isinstance(msg, NormalizedMessage):
-                days.setdefault((msg.device_id, msg.ts - msg.ts % DAY_MS), []).append(msg)
-        newest: dict[str, NormalizedMessage] = {}  # device id -> its maximal-ts filed reading
-        for (device_id, day_start), msgs in days.items():
-            try:
-                _write_all(self._day_fd(device_id, day_start),
-                           b"\n".join([m.encoded for m in msgs]) + b"\n")
-            except OSError as exc:
-                self.errors += len(msgs)
-                path = self._day_path(device_id, day_start)
-                for msg in msgs:
-                    self._report(msg, path, exc)
-                continue
-            self.lines_written += len(msgs)
-            best = newest.get(device_id, msgs[0])
-            for msg in msgs:
-                if msg.ts >= best.ts:  # the later one on a tie
-                    best = msg
-            newest[device_id] = best
-        for device_id, msg in newest.items():
-            self._write_latest(device_id, msg)
+                self._file(msg)
+
+    def _file(self, msg: NormalizedMessage) -> None:
+        day_start = msg.ts - msg.ts % DAY_MS
+        try:
+            _write_all(self._day_fd(msg.device_id, day_start), msg.encoded + b"\n")
+        except OSError as exc:
+            self.errors += 1
+            self._report(msg, self._day_path(msg.device_id, day_start), exc)
+            return
+        self.lines_written += 1
+        self._write_latest(msg)
 
     def _day_path(self, device_id: str, day_start: int) -> str:
         day = datetime.fromtimestamp(day_start // 1000, tz=timezone.utc)
@@ -159,7 +141,8 @@ class MessageFiler(Verticle):
         self._handles[device_id] = (day_start, fd)
         return fd
 
-    def _write_latest(self, device_id: str, msg: NormalizedMessage) -> None:
+    def _write_latest(self, msg: NormalizedMessage) -> None:
+        device_id = msg.device_id
         path = f"{self._root}/{device_id}/latest.json"
         known = self._latest_ts.get(device_id)
         if known is None:
@@ -190,10 +173,18 @@ class MessageFiler(Verticle):
 
 
 def _write_all(fd: int, data: bytes) -> None:
-    """os.write until every byte is out: one call may write only part."""
-    done = os.write(fd, data)
-    while done < len(data):
-        done += os.write(fd, memoryview(data)[done:])
+    """os.write until every byte is out: one call may write only part. All or
+    nothing: when a later call fails, the part already written is cut off the
+    end of the file again, so a failed append leaves no torn line."""
+    done = 0
+    try:
+        done = os.write(fd, data)
+        while done < len(data):
+            done += os.write(fd, memoryview(data)[done:])
+    except OSError:
+        if done:
+            os.ftruncate(fd, os.fstat(fd).st_size - done)
+        raise
 
 
 def _stored_ts(path: str) -> int | None:

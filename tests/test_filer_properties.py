@@ -1,17 +1,18 @@
-"""Property tests for the batched MessageFiler: what lands on disk per device and day."""
+"""Property tests for the MessageFiler: what lands on disk per device and day."""
 
 import asyncio
+import errno
 import json
+import os
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sensert.decoders import NormalizedMessage
-from sensert.rts import RealTimeServer, verticles
+from sensert.rts import RealTimeServer
 from sensert.rts.verticles import DAY_MS, MessageFiler
 
 DAY0 = 1_590_969_600_000  # 2020-06-01T00:00:00Z
@@ -51,16 +52,15 @@ _readings = st.lists(st.tuples(st.sampled_from(["d0", "d1", "d2", "d3"]), st.int
                                st.integers(0, DAY_MS - 1)), min_size=1, max_size=80)
 
 
-@given(_readings, st.sampled_from([1, 7, verticles.FILER_BATCH]))
+@given(_readings)
 @settings(max_examples=60)
-def test_batched_filer_writes_each_days_lines_in_publish_order(rows, batch):
+def test_filer_writes_each_days_lines_in_publish_order(rows):
     """Per device and day, the file holds exactly that device's readings for
     that day in publish order, byte-equal to ``encoded``; latest.json holds the
-    maximal-ts reading (the later one on a tie), whatever the batch size."""
+    maximal-ts reading (the later one on a tie)."""
     msgs = [reading(device, DAY0 + day * DAY_MS + ms, seq)
             for seq, (device, day, ms) in enumerate(rows)]
-    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verticles, "FILER_BATCH", batch)
+    with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         filer, events = asyncio.run(file_all(root, msgs))
 
@@ -79,7 +79,8 @@ def test_batched_filer_writes_each_days_lines_in_publish_order(rows, batch):
 
 
 def test_a_device_that_cannot_be_filed_fails_alone(tmp_path):
-    """A device whose directory path is a regular file fails mid-batch: its
+    """A device whose directory path is a regular file fails in the middle of
+    a burst: its
     readings count as errors, one event each naming the day file, and every
     other reading of the same batch is filed."""
     (tmp_path / "bad").write_text("not a directory")
@@ -97,3 +98,52 @@ def test_a_device_that_cannot_be_filed_fails_alone(tmp_path):
             m.encoded + b"\n" for m in mine)
         assert json.loads((tmp_path / device / "latest.json").read_bytes())["ts"] == mine[-1].ts
     assert (tmp_path / "bad").read_text() == "not a directory"
+
+
+def test_a_failed_append_leaves_no_torn_line(tmp_path, monkeypatch):
+    """A write that goes out in part and then fails (say ENOSPC) is cut back
+    off the day file: the reading counts as an error, no record is left half
+    written, and the next append starts on a fresh line."""
+    a, b, c = (reading("d1", DAY0 + i * 1000, i) for i in range(3))
+    real_write = os.write
+
+    async def main_():
+        rts = RealTimeServer()
+        filer = MessageFiler(tmp_path)
+        await rts.deploy(filer)
+
+        async def until(done):
+            for _ in range(500):
+                if done():
+                    return
+                await asyncio.sleep(0.01)
+            raise AssertionError("the filer did not get there")
+
+        rts.bus.publish("feed/smartplug/d1", a)
+        await until(lambda: filer.lines_written == 1)
+        day_fd = filer._handles["d1"][1]
+        calls = []
+
+        def short_then_fail(fd, data):
+            if fd != day_fd:
+                return real_write(fd, data)
+            calls.append(len(data))
+            if len(calls) == 1:  # a short write: the first few bytes of b's line
+                return real_write(fd, bytes(data)[:4])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "write", short_then_fail)
+        rts.bus.publish("feed/smartplug/d1", b)
+        await until(lambda: filer.errors == 1)
+        monkeypatch.setattr(os, "write", real_write)
+        assert len(calls) == 2
+        rts.bus.publish("feed/smartplug/d1", c)
+        await until(lambda: filer.lines_written == 2)
+        await rts.stop()
+        return filer
+
+    filer = asyncio.run(main_())
+    assert (filer.lines_written, filer.errors, filer.latest_errors) == (2, 1, 0)
+    lines = day_file(tmp_path, a).read_bytes()
+    assert lines == a.encoded + b"\n" + c.encoded + b"\n"
+    assert json.loads((tmp_path / "d1" / "latest.json").read_bytes())["ts"] == c.ts
