@@ -46,13 +46,18 @@ async def run(backup_root: Path) -> bool:
     backup = RealTimeServer()
     backup_feed = FeedHandler(*peer.address)
     await backup.deploy(backup_feed)
-    await backup.deploy(MessageFiler(backup_root))
+    backup_filer = MessageFiler(backup_root)
+    await backup.deploy(backup_filer)
     await asyncio.wait_for(backup_feed.link.up.wait(), 10)
 
     profiles = [DeviceProfile(f"plug-{i}", "smartplug", period_s=0.2) for i in range(3)]
     log = await primary.run_fleet(profiles, scenario=None, duration_s=3.0)
     await primary.drain()
-    await asyncio.sleep(0.5)  # routed tail
+    # routed tail: the backup has filed every line the primary filed, or 10 s passed
+    for _ in range(1000):
+        if backup_filer.lines_written == primary.filer.lines_written:
+            break
+        await asyncio.sleep(0.01)
 
     primary_counts = primary.filer_line_counts()
     backup_counts = {

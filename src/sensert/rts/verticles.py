@@ -66,12 +66,12 @@ class MessageFiler(Verticle):
     """Bus -> disk: one JSON line per message, plus a latest.json snapshot.
 
     Layout: <data_root>/<device_id>/<YYYY>/<MM>/<DD>.jsonl with the UTC date
-    taken from the reading timestamp. Each reading is one append on a raw fd
-    and, unless it is older than the stored one, one replace of latest.json,
-    on plain str paths. Filing a reading never awaits, so once the queue is
-    empty everything taken from it is on disk. Each device keeps one day
-    file open; a reading on another day closes it and opens (appends to)
-    that day's file.
+    taken from the reading timestamp. Each reading opens its day file, appends
+    its line and closes it again, then, unless it is older than the stored
+    one, writes latest.json the same way and replaces it, on plain str paths.
+    The filer holds no file open between readings, so its fd use does not
+    grow with the fleet. Filing a reading never awaits, so once the queue is
+    empty everything taken from it is on disk.
 
     ``errors`` counts readings whose line was not written; ``latest_errors``
     counts latest.json replacements that failed. Each failure publishes
@@ -87,7 +87,6 @@ class MessageFiler(Verticle):
         self.lines_written = 0
         self.errors = 0
         self.latest_errors = 0
-        self._handles: dict[str, tuple[int, int]] = {}  # device id -> (day_start_ms, fd)
         self._latest_ts: dict[str, int] = {}
 
     async def start(self, bus) -> None:
@@ -97,15 +96,6 @@ class MessageFiler(Verticle):
         sub = self.subscribe("feed/+/+", SubscriptionPolicy(queue_capacity=8192))
         self.spawn(self._run(sub))
 
-    async def stop(self) -> None:
-        await super().stop()
-        for _day_start, fd in self._handles.values():
-            try:
-                os.close(fd)
-            except OSError:
-                pass
-        self._handles.clear()
-
     async def _run(self, sub) -> None:
         while True:
             msg = (await sub.get()).body
@@ -114,32 +104,19 @@ class MessageFiler(Verticle):
                 self._file(msg)
 
     def _file(self, msg: NormalizedMessage) -> None:
-        day_start = msg.ts - msg.ts % DAY_MS
+        path = self._day_path(msg)
         try:
-            _write_all(self._day_fd(msg.device_id, day_start), msg.encoded + b"\n")
+            _write_file(path, os.O_APPEND, msg.encoded + b"\n")
         except OSError as exc:
             self.errors += 1
-            self._report(msg, self._day_path(msg.device_id, day_start), exc)
+            self._report(msg, path, exc)
             return
         self.lines_written += 1
         self._write_latest(msg)
 
-    def _day_path(self, device_id: str, day_start: int) -> str:
-        day = datetime.fromtimestamp(day_start // 1000, tz=timezone.utc)
-        return f"{self._root}/{device_id}/{day.year:04d}/{day.month:02d}/{day.day:02d}.jsonl"
-
-    def _day_fd(self, device_id: str, day_start: int) -> int:
-        entry = self._handles.get(device_id)
-        if entry is not None:
-            if entry[0] == day_start:
-                return entry[1]
-            del self._handles[device_id]  # another day: close the previous day's file
-            os.close(entry[1])
-        path = self._day_path(device_id, day_start)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666)
-        self._handles[device_id] = (day_start, fd)
-        return fd
+    def _day_path(self, msg: NormalizedMessage) -> str:
+        day = datetime.fromtimestamp((msg.ts - msg.ts % DAY_MS) // 1000, tz=timezone.utc)
+        return f"{self._root}/{msg.device_id}/{day.year:04d}/{day.month:02d}/{day.day:02d}.jsonl"
 
     def _write_latest(self, msg: NormalizedMessage) -> None:
         device_id = msg.device_id
@@ -153,11 +130,7 @@ class MessageFiler(Verticle):
             return
         tmp = path + ".tmp"
         try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-            try:
-                _write_all(fd, msg.encoded)
-            finally:
-                os.close(fd)
+            _write_file(tmp, os.O_TRUNC, msg.encoded)
             os.replace(tmp, path)
         except OSError as exc:
             self.latest_errors += 1
@@ -172,10 +145,19 @@ class MessageFiler(Verticle):
             source_verticle=self.name), publisher=self.name)
 
 
-def _write_all(fd: int, data: bytes) -> None:
-    """os.write until every byte is out: one call may write only part. All or
-    nothing: when a later call fails, the part already written is cut off the
-    end of the file again, so a failed append leaves no torn line."""
+def _write_file(path: str, flags: int, data: bytes) -> None:
+    """Open ``path`` (``flags`` adds os.O_APPEND or os.O_TRUNC), write all of
+    ``data`` and close it again. Missing directories are made only when the
+    open says so, and the open is tried once more. os.write may write only
+    part, so it is called until every byte is out. All or nothing: when a
+    later call fails, the part already written is cut off the end of the file
+    again, so a failed append leaves no torn line."""
+    flags |= os.O_WRONLY | os.O_CREAT
+    try:
+        fd = os.open(path, flags, 0o666)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd = os.open(path, flags, 0o666)
     done = 0
     try:
         done = os.write(fd, data)
@@ -185,6 +167,8 @@ def _write_all(fd: int, data: bytes) -> None:
         if done:
             os.ftruncate(fd, os.fstat(fd).st_size - done)
         raise
+    finally:
+        os.close(fd)
 
 
 def _stored_ts(path: str) -> int | None:

@@ -12,7 +12,7 @@ from sensert.rts.bus import DerivedEvent
 from sensert.rts.monitor import DataMonitor, body_to_jsonable
 from sensert.rts.verticles import FeedHandler, MessageFiler, MessageRouter, RouteRule
 
-TS = 1_590_998_400_000  # 2020-06-01T10:00:00Z
+TS = 1_590_998_400_000  # 2020-06-01T08:00:00Z
 
 
 def run(coro):

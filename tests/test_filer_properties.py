@@ -105,7 +105,7 @@ def test_a_failed_append_leaves_no_torn_line(tmp_path, monkeypatch):
     off the day file: the reading counts as an error, no record is left half
     written, and the next append starts on a fresh line."""
     a, b, c = (reading("d1", DAY0 + i * 1000, i) for i in range(3))
-    real_write = os.write
+    real_open, real_write = os.open, os.write
 
     async def main_():
         rts = RealTimeServer()
@@ -121,17 +121,24 @@ def test_a_failed_append_leaves_no_torn_line(tmp_path, monkeypatch):
 
         rts.bus.publish("feed/smartplug/d1", a)
         await until(lambda: filer.lines_written == 1)
-        day_fd = filer._handles["d1"][1]
+        day_fd = []  # the fd of the day file opened last
         calls = []
 
+        def open_spy(path, flags, mode=0o777, **kwargs):
+            fd = real_open(path, flags, mode, **kwargs)
+            if str(path).endswith(".jsonl"):
+                day_fd[:] = [fd]
+            return fd
+
         def short_then_fail(fd, data):
-            if fd != day_fd:
+            if day_fd != [fd]:
                 return real_write(fd, data)
             calls.append(len(data))
             if len(calls) == 1:  # a short write: the first few bytes of b's line
                 return real_write(fd, bytes(data)[:4])
             raise OSError(errno.ENOSPC, "No space left on device")
 
+        monkeypatch.setattr(os, "open", open_spy)
         monkeypatch.setattr(os, "write", short_then_fail)
         rts.bus.publish("feed/smartplug/d1", b)
         await until(lambda: filer.errors == 1)

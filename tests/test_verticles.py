@@ -2,6 +2,9 @@
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -239,7 +242,7 @@ def test_filer_paths_and_latest(tmp_path):
         rts = RealTimeServer()
         filer = MessageFiler(tmp_path)
         await rts.deploy(filer)
-        # 2020-06-01T10:00:00Z
+        # 2020-06-01T08:00:00Z
         ts1 = 1_590_998_400_000
         rts.bus.publish("feed/smartplug/d1", plug_msg(ts=ts1, power_w=1.0))
         rts.bus.publish("feed/smartplug/d1", plug_msg(ts=ts1 + 1000, power_w=2.0))
@@ -314,23 +317,43 @@ def test_filer_utc_date_rollover(tmp_path):
     run(main())
 
 
-def test_filer_keeps_one_open_day_file_per_device(tmp_path):
-    """Thirty days of one device leave one open handle and thirty lines; a
-    reading back on an earlier day is appended to that day's file."""
+def test_filer_leaves_no_file_open(tmp_path, monkeypatch):
+    """Thirty days of one device: each reading opens its day file once, every
+    fd the filer opens is closed again, and thirty lines land in thirty day
+    files; a reading back on an earlier day is appended to that day's file."""
+    real_open, real_close = os.open, os.close
+    day_opens = []
+    open_fds: set[int] = set()
+
+    def open_spy(path, flags, mode=0o777, **kwargs):
+        fd = real_open(path, flags, mode, **kwargs)
+        if str(path).startswith(str(tmp_path)):
+            open_fds.add(fd)
+            if str(path).endswith(".jsonl"):
+                day_opens.append(path)
+        return fd
+
+    def close_spy(fd):
+        real_close(fd)
+        open_fds.discard(fd)
+
+    monkeypatch.setattr(os, "open", open_spy)
+    monkeypatch.setattr(os, "close", close_spy)
 
     async def main():
         rts = RealTimeServer()
         filer = MessageFiler(tmp_path)
         await rts.deploy(filer)
         day_ms = 86_400_000
-        first = 1_590_998_400_000  # 2020-06-01T10:00:00Z
+        first = 1_590_998_400_000  # 2020-06-01T08:00:00Z
         for day in range(30):
             rts.bus.publish("feed/smartplug/d1", plug_msg(ts=first + day * day_ms))
         for _ in range(100):
             if filer.lines_written == 30:
                 break
             await asyncio.sleep(0.01)
-        assert len(filer._handles) == 1
+        assert len(day_opens) == 30
+        assert open_fds == set()
         day_files = sorted((tmp_path / "d1").rglob("*.jsonl"))
         assert len(day_files) == 30
         assert sum(len(f.read_bytes().splitlines()) for f in day_files) == 30
@@ -340,12 +363,55 @@ def test_filer_keeps_one_open_day_file_per_device(tmp_path):
             if filer.lines_written == 31:
                 break
             await asyncio.sleep(0.01)
-        assert len(filer._handles) == 1
+        assert len(day_opens) == 31
+        assert open_fds == set()
         lines = (tmp_path / "d1" / "2020" / "06" / "01.jsonl").read_bytes().splitlines()
         assert [json.loads(line)["ts"] for line in lines] == [first, first + 1]
         await rts.stop()
 
     run(main())
+
+
+_FILE_A_FLEET_UNDER_64_FDS = """
+import asyncio, json, resource, sys
+from sensert.decoders import NormalizedMessage
+from sensert.rts import RealTimeServer
+from sensert.rts.verticles import MessageFiler
+
+async def main(root):
+    rts = RealTimeServer()
+    filer = MessageFiler(root)
+    await rts.deploy(filer)
+    for i in range(200):
+        ts = 1_600_000_000_000 + i
+        rts.bus.publish(f"feed/smartplug/plug-{i}", NormalizedMessage(
+            f"plug-{i}", ts, "smartplug", {"power_w": 1.0}, b"{}", ts))
+    for _ in range(500):
+        if filer.lines_written + filer.errors == 200:
+            break
+        await asyncio.sleep(0.01)
+    await rts.stop()
+    return filer
+
+resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+filer = asyncio.run(main(sys.argv[1]))
+print(json.dumps({"lines_written": filer.lines_written, "errors": filer.errors,
+                  "latest_errors": filer.latest_errors}))
+"""
+
+
+def test_filer_files_more_devices_than_it_may_open_files(tmp_path):
+    """One reading from each of 200 devices, filed in a child process whose
+    soft RLIMIT_NOFILE is 64: every line and latest.json is written, because
+    the filer keeps no file open between readings."""
+    # the child imports sensert from where this process does
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    child = subprocess.run([sys.executable, "-c", _FILE_A_FLEET_UNDER_64_FDS, str(tmp_path)],
+                           env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    counts = json.loads(child.stdout)
+    assert counts == {"lines_written": 200, "errors": 0, "latest_errors": 0}
+    assert len(list(tmp_path.rglob("*.jsonl"))) == 200
 
 
 def test_filer_ignores_deadletters(tmp_path):
