@@ -64,7 +64,6 @@ class BrokerStats:
     msgs_in: int = 0
     msgs_out: int = 0
     drops: int = 0
-    live_sessions: int = 0
 
     def snapshot(self) -> dict:
         return dict(self.__dict__)
@@ -253,7 +252,6 @@ class Broker:
                 self._drop_session(old)
             self._by_client_id[client_id] = session
             self.register_subscriber(session)
-            self.stats.live_sessions = self.live_sessions
             writer.write(wire.encode_packet(wire.Connack(return_code=0)))
             await writer.drain()
             session.writer_task = asyncio.create_task(session.run_writer())
@@ -298,7 +296,6 @@ class Broker:
         if self._by_client_id.get(session.client_id) is session:
             del self._by_client_id[session.client_id]
         self.unregister_subscriber(session)
-        self.stats.live_sessions = self.live_sessions
         session.close()
 
     async def _keepalive_watchdog(self) -> None:

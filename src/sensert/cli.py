@@ -139,7 +139,8 @@ async def _run_broker(args) -> int:
     async def stats_loop():
         while True:
             await asyncio.sleep(args.stats_interval)
-            log.info("stats %s", broker.stats.snapshot())
+            log.info("stats %s live_sessions=%d", broker.stats.snapshot(),
+                     broker.live_sessions)
 
     task = asyncio.create_task(stats_loop())
     try:

@@ -3,8 +3,9 @@
 There is one bus per server rather than one mailbox per actor; per-subscriber
 isolation comes from each subscription's own :class:`~sensert.pipe.BoundedQueue`.
 ``publish`` is a plain synchronous enqueue and never executes subscriber code
-inline, so its cost is independent of how slow any consumer is. Staleness
-(timeliness) is enforced at delivery time, when the consumer's bound is known.
+inline, so its cost is independent of how slow any consumer is. A subscription
+is a filter, an owner and its queue, and the queue's own counters are the bus
+ledger: ``offered = delivered + dropped + pending``.
 
 Subscriptions are indexed by filter in one :class:`~sensert.wire.TopicTree`,
 so a publish costs O(levels + matches) whatever the number of subscriptions.
@@ -15,8 +16,8 @@ unspecified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Literal
+from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from .. import wire
 from ..pipe import BoundedQueue, Overflow, now_ms
@@ -72,89 +73,28 @@ class BusEnvelope:
     published_at: int  # epoch ms
     seq: int  # strictly increasing per publisher
     publisher: str = "anonymous"
-    stale: bool = False
-
-
-StaleAction = Literal["drop_counted", "deliver_flagged"]
 
 
 @dataclass
 class SubscriptionPolicy:
     queue_capacity: int = 1024
     overflow: Overflow = "drop_oldest"
-    timeliness_bound_s: float | None = None
-    stale_action: StaleAction = "drop_counted"
-
-    def __post_init__(self):
-        if self.queue_capacity < 1:
-            raise ValueError("queue_capacity must be >= 1")
-        if self.overflow not in ("drop_oldest", "drop_newest"):
-            raise ValueError(f"bad overflow policy {self.overflow!r}")
-        if self.stale_action not in ("drop_counted", "deliver_flagged"):
-            raise ValueError(f"bad stale action {self.stale_action!r}")
 
 
 class Subscription:
-    """Async message source for one filter; owned by exactly one consumer."""
+    """One filter's queue, owned by one consumer; ``get``/``get_nowait`` are the queue's."""
 
     def __init__(self, filter_raw: str, policy: SubscriptionPolicy, owner: str = ""):
         self.filter = filter_raw
         self.filter_levels = wire.validate_filter(filter_raw)
-        self.policy = policy
         self.owner = owner
         self.queue: BoundedQueue[BusEnvelope] = BoundedQueue(policy.queue_capacity,
                                                              policy.overflow)
-        self.stale_drops = 0
-
-    # the queue's `delivered` also counts envelopes then dropped as stale
-    @property
-    def matched(self) -> int:
-        return self.queue.offered
-
-    @property
-    def delivered(self) -> int:
-        return self.queue.delivered - self.stale_drops
-
-    @property
-    def drops(self) -> int:
-        return self.queue.dropped
-
-    def _apply_timeliness(self, env: BusEnvelope) -> BusEnvelope | None:
-        bound = self.policy.timeliness_bound_s
-        if bound is not None and (now_ms() - env.published_at) / 1000.0 > bound:
-            if self.policy.stale_action == "drop_counted":
-                self.stale_drops += 1
-                return None
-            env = replace(env, stale=True)
-        return env
-
-    async def get(self) -> BusEnvelope:
-        while True:
-            env = self._apply_timeliness(await self.queue.get())
-            if env is not None:
-                return env
-
-    def get_nowait(self) -> BusEnvelope | None:
-        while self.queue.pending:
-            env = self._apply_timeliness(self.queue.get_nowait())
-            if env is not None:
-                return env
-        return None
+        self.get = self.queue.get
+        self.get_nowait = self.queue.get_nowait
 
     def pending(self) -> int:
         return self.queue.pending
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "matched": self.matched,
-            "delivered": self.delivered,
-            "drops": self.drops,
-            "stale_drops": self.stale_drops,
-            "pending": self.queue.pending,
-        }
-
-    def conserved(self) -> bool:
-        return self.queue.conserved()
 
 
 # Observer sees every accepted envelope, synchronously, before fan-out.
@@ -201,8 +141,11 @@ class EventBus:
         return list(self._subs)
 
     def audit(self) -> list[dict]:
-        """Per-subscription conservation snapshot."""
+        """Per-subscription ledger: matched = delivered + drops + pending."""
         return [
-            {"owner": s.owner, "filter": s.filter, **s.stats(), "conserved": s.conserved()}
+            {"owner": s.owner, "filter": s.filter, "matched": s.queue.offered,
+             "delivered": s.queue.delivered, "drops": s.queue.dropped,
+             "stale_drops": 0,  # always 0: perfbench's named_drops still reads it
+             "pending": s.queue.pending, "conserved": s.queue.conserved()}
             for s in self._subs
         ]

@@ -13,6 +13,7 @@ import json
 import logging
 from typing import Any
 
+from .. import wire
 from ..decoders import DeadLetter, NormalizedMessage
 from .bus import DerivedEvent, Subscription
 from .server import Verticle
@@ -31,6 +32,14 @@ def encode_body(body: Any) -> bytes:
     if isinstance(body, NormalizedMessage):
         return body.encoded
     return json.dumps(body_to_jsonable(body), ensure_ascii=False).encode("utf-8")
+
+
+def filter_list(req: dict) -> list[str]:
+    """A request's ``filters``, which must be a list of strings."""
+    filters = req.get("filters", [])
+    if not isinstance(filters, list) or not all(isinstance(f, str) for f in filters):
+        raise ValueError("filters must be a list of strings")
+    return filters
 
 
 class DataMonitor(Verticle):
@@ -73,15 +82,11 @@ class DataMonitor(Verticle):
         async def pump(sub: Subscription) -> None:
             while True:
                 env = await sub.get()
-                # the envelope head with its closing brace cut, then the body's bytes
-                head = json.dumps({
-                    "address": env.address,
-                    "published_at": env.published_at,
-                    "seq": env.seq,
-                    "stale": env.stale,
-                }, ensure_ascii=False)[:-1]
-                writer.write(b"".join((head.encode("utf-8"), b', "body": ',
-                                       encode_body(env.body), b"}\n")))
+                # the envelope head, formatted as json.dumps would, then the body's bytes
+                head = (f'{{"address": {json.dumps(env.address, ensure_ascii=False)}, '
+                        f'"published_at": {env.published_at}, "seq": {env.seq}, '
+                        f'"stale": false, "body": ')
+                writer.write(b"".join((head.encode("utf-8"), encode_body(env.body), b"}\n")))
                 await writer.drain()
 
         def reply(obj: dict) -> None:
@@ -98,25 +103,19 @@ class DataMonitor(Verticle):
                         raise ValueError("request must be a JSON object")
                     method = req.get("method")
                     if method == "subscribe":
-                        added = []
-                        for f in req.get("filters", []):
-                            if f in subs:
-                                continue
-                            sub = self.bus.subscribe(f, owner=f"{self.name}-client")
-                            subs[f] = sub
-                            pumps[f] = asyncio.create_task(pump(sub))
-                            added.append(f)
+                        filters = filter_list(req)
+                        for f in filters:  # all valid, or none subscribed
+                            wire.validate_filter(f)
+                        added = [f for f in dict.fromkeys(filters) if f not in subs]
+                        for f in added:
+                            subs[f] = self.bus.subscribe(f, owner=f"{self.name}-client")
+                            pumps[f] = asyncio.create_task(pump(subs[f]))
                         reply({"ok": "subscribe", "filters": added})
                     elif method == "unsubscribe":
-                        removed = []
-                        for f in req.get("filters", []):
-                            sub = subs.pop(f, None)
-                            if sub is None:
-                                continue
-                            task = pumps.pop(f)
-                            task.cancel()
-                            self.bus.unsubscribe(sub)
-                            removed.append(f)
+                        removed = [f for f in dict.fromkeys(filter_list(req)) if f in subs]
+                        for f in removed:
+                            pumps.pop(f).cancel()
+                            self.bus.unsubscribe(subs.pop(f))
                         reply({"ok": "unsubscribe", "filters": removed})
                     else:
                         raise ValueError(f"unknown method {method!r}")

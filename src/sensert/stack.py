@@ -233,8 +233,8 @@ class Stack:
         it received (published + dead-lettered), and every reading emitted
         must be filed, failed by the filer, dead-lettered or dropped on the
         filer path. That path is every broker queue, every MQTT inbound queue
-        and the filer's subscription (its drops and stale drops); the other
-        subscriptions branch off it.
+        and the filer's subscription queue; the other subscriptions branch
+        off it.
         """
         walk = self.queues()
         problems = [f"{name} not conserved" for name, q in walk if not q.conserved()]
@@ -244,7 +244,7 @@ class Stack:
                             f"{fh.published} + deadlettered {fh.deadlettered}")
         lost = sum(q.dropped for name, q in walk
                    if name.startswith(("broker.", "feedhandler.")))
-        lost += sum(s.drops + s.stale_drops for s in self.rts.bus.subscriptions()
+        lost += sum(s.queue.dropped for s in self.rts.bus.subscriptions()
                     if s.owner == filer.name)
         if emitted != filer.lines_written + filer.errors + fh.deadlettered + lost:
             problems.append(f"emitted {emitted} != filed {filer.lines_written} + filer errors "

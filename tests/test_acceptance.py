@@ -378,7 +378,7 @@ def test_acceptance_6_conservation(demo_runs):
             ok = False
     subs = sum(len(r.audit) for r in results)
     report(6, ok and subs > 0,
-           f"published = delivered + drops + stale-drops over {subs} subscriptions "
+           f"matched = delivered + drops + pending over {subs} subscriptions "
            f"across {len(results)} demo runs; feedhandler in = out + deadletters")
 
 

@@ -66,8 +66,10 @@ def test_golden_bytes_for_every_hop(tmp_path):
     event = DerivedEvent("threshold-crossed", "küche-1", TS, {"field": "co2", "note": "→"},
                          "thresholdwatch")
     dead = DeadLetter("tele/größe/SENSOR", b"\xff", TS, "no decoder for 'größe'")
+    escaped = 'event/threshold/a"b\\c\td'  # a level the monitor head must escape
     bodies = [("feed/ttn/küche-1", readings[0]), ("feed/ttn/küche-1", readings[1]),
-              ("event/threshold/küche-1", event), ("feed/deadletter", dead)]
+              ("event/threshold/küche-1", event), ("feed/deadletter", dead),
+              (escaped, event)]
 
     async def main():
         peer = Broker(name="peer")
@@ -105,6 +107,8 @@ def test_golden_bytes_for_every_hop(tmp_path):
              json.dumps(event.to_jsonable(), ensure_ascii=False).encode("utf-8")),
             ("normalized/feed/deadletter",
              json.dumps(dead.to_jsonable(), ensure_ascii=False).encode("utf-8")),
+            ("normalized/" + escaped,
+             json.dumps(event.to_jsonable(), ensure_ascii=False).encode("utf-8")),
         ]
         assert "→".encode() in payloads[2][1] and "größe".encode() in payloads[3][1]
 

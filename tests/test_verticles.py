@@ -722,6 +722,26 @@ def test_datamonitor_malformed_request_keeps_connection():
     run(main())
 
 
+def test_datamonitor_bad_filters_subscribe_nothing():
+    """A filters value that is not a list of strings, or that holds one
+    invalid filter, is an error line and subscribes none of its filters."""
+    async def main():
+        rts = RealTimeServer()
+        monitor = DataMonitor()
+        await rts.deploy(monitor)
+        client = await MonitorClient.connect(*monitor.address)
+        for filters in ("feed/#", ["a/b", "a/#/b", "c"], ["a/b", 7]):
+            assert "error" in await client.subscribe(filters)
+            assert rts.bus.subscriptions() == []
+        assert await client.subscribe(["a/b"]) == {"ok": "subscribe", "filters": ["a/b"]}
+        assert "error" in await client.unsubscribe("a/b")
+        assert [s.filter for s in rts.bus.subscriptions()] == ["a/b"]
+        await client.close()
+        await rts.stop()
+
+    run(main())
+
+
 def test_datamonitor_stop_closes_its_client_connections():
     async def main():
         rts = RealTimeServer()
