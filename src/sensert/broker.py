@@ -3,12 +3,12 @@
 One asyncio task per connection plus a synchronous routing core. The publish
 path never blocks on any subscriber socket: every subscriber (client session
 or bridge-out forwarder) owns a drop-oldest :class:`~sensert.pipe.BoundedQueue`
-drained by its own task. Bridges connect out to a remote broker and
-republish in, out, or both directions; bridge-in traffic arrives through the
-bridge client's inbound queue. Loop prevention is by ingress-link exclusion,
-so a message is never echoed back over the link it arrived on. There is no
-retained-message store, so every routed PUBLISH goes out with RETAIN 0
-(MQTT 3.1.1, MQTT-3.3.1-9).
+drained by its own :class:`~sensert.pipe.Pump`. Bridges connect out to a
+remote broker and republish in, out, or both directions; bridge-in traffic
+arrives through the bridge client's inbound queue. Loop prevention is by
+ingress-link exclusion, so a message is never echoed back over the link it
+arrived on. There is no retained-message store, so every routed PUBLISH goes
+out with RETAIN 0 (MQTT 3.1.1, MQTT-3.3.1-9).
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import wire
-from .mqtt_client import MqttClient, MqttError, subscribed
-from .pipe import BoundedQueue, Link, now_ms
+from .mqtt_client import MqttClient, subscribed
+from .pipe import BoundedQueue, Link, Pump, now_ms, parse_addr
 
 log = logging.getLogger(__name__)
 
@@ -46,32 +46,26 @@ class BridgeRule:
         wire.validate_filter(self.filter)
         if self.local_prefix:
             wire.validate_topic(self.local_prefix)
-
-    @property
-    def remote_host(self) -> str:
-        host, _, port = self.remote.rpartition(":")
-        if not host:
-            raise ValueError(f"remote must be host:port, got {self.remote!r}")
-        return host
-
-    @property
-    def remote_port(self) -> int:
-        return int(self.remote.rpartition(":")[2])
+        self.remote_host, self.remote_port = parse_addr(self.remote)
 
 
 @dataclass
 class BrokerStats:
     msgs_in: int = 0
-    msgs_out: int = 0
     drops: int = 0
 
     def snapshot(self) -> dict:
         return dict(self.__dict__)
 
 
+def _publish_frame(item: tuple[str, bytes]) -> bytes:
+    return wire.encode_packet(wire.Publish(*item))
+
+
 class _Subscriber:
     """A routing target: a ClientSession or, used as is, a bridge's outbound
-    forwarder. Queues (topic, payload) in one drop-oldest queue."""
+    forwarder. Queues (topic, payload) in one drop-oldest queue, which its
+    pump writes as PUBLISH frames (``pump.sent`` counts them)."""
 
     def __init__(self, link_id: int, max_queue: int, stats: BrokerStats):
         self.link_id = link_id
@@ -79,6 +73,7 @@ class _Subscriber:
         # raw filter string -> pre-split levels (dict dedups by filter string)
         self.filters: dict[str, tuple[str, ...]] = {}
         self.queue: BoundedQueue[tuple[str, bytes]] = BoundedQueue(max_queue)
+        self.pump = Pump(self.queue, _publish_frame)
         self._stats = stats
 
     def matches(self, topic_levels: tuple[str, ...]) -> bool:
@@ -101,13 +96,8 @@ class ClientSession(_Subscriber):
         self.writer_task: asyncio.Task | None = None
 
     async def run_writer(self) -> None:
-        queue = self.queue
         try:
-            while not queue.closed:
-                topic, payload = await queue.get()
-                self.writer.write(wire.encode_packet(wire.Publish(topic, payload)))
-                await self.writer.drain()
-                self._stats.msgs_out += 1
+            await self.pump.run(self.writer)
         except (ConnectionError, OSError):
             pass
 
@@ -322,6 +312,7 @@ class Bridge:
         self.rule = rule
         self.link_id = broker.new_link_id()
         self.link: Link[MqttClient] = Link(self._open, self._serve)
+        # kept for the bridge's life, so its pump's publish in hand survives a reconnect
         self._out_sub: _Subscriber | None = None
         self._task: asyncio.Task | None = None
         if rule.direction in ("out", "both"):
@@ -351,8 +342,10 @@ class Bridge:
 
     async def _serve(self, client: MqttClient) -> None:
         """Route what the remote sends until the connection closes (MqttError),
-        forwarding the out-queue to it meanwhile."""
-        forward = asyncio.create_task(self._forward_out(client)) if self._out_sub else None
+        forwarding the out-queue to it meanwhile. A failed forward closes the
+        client, which ends this loop too."""
+        out = self._out_sub
+        forward = asyncio.create_task(out.pump.run(client)) if out is not None else None
         prefix = f"{self.rule.local_prefix}/" if self.rule.local_prefix else ""
         try:
             while True:
@@ -363,20 +356,14 @@ class Bridge:
                 forward.cancel()
                 await asyncio.gather(forward, return_exceptions=True)
 
-    async def _forward_out(self, client: MqttClient) -> None:
-        assert self._out_sub is not None
-        try:
-            while True:
-                topic, payload = await self._out_sub.queue.get()
-                await client.publish(topic, payload)
-        except (MqttError, ConnectionError, OSError):
-            pass
-
 
 @dataclass
 class BrokerConfig:
     listen: str = "127.0.0.1:1883"
     bridges: list[BridgeRule] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.listen_host, self.listen_port = parse_addr(self.listen)
 
     @classmethod
     def from_json(cls, text: str) -> "BrokerConfig":
@@ -391,11 +378,3 @@ class BrokerConfig:
             for b in raw.get("bridges", [])
         ]
         return cls(listen=raw.get("listen", "127.0.0.1:1883"), bridges=bridges)
-
-    @property
-    def listen_host(self) -> str:
-        return self.listen.rpartition(":")[0]
-
-    @property
-    def listen_port(self) -> int:
-        return int(self.listen.rpartition(":")[2])

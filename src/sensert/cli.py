@@ -14,7 +14,7 @@ from . import __version__
 from .broker import Broker, BrokerConfig
 from .decoders import parse_time_ms
 from .metadata import DeviceMetadataRecord, MetadataStore, SpatialContainer
-from .pipe import now_ms
+from .pipe import now_ms, parse_addr
 from .rts import RealTimeServer
 from .rts.monitor import DataMonitor
 from .rts.verticles import FeedHandler, MessageFiler, RTCoffee, ThresholdRule, ThresholdWatch
@@ -32,10 +32,10 @@ log = logging.getLogger("sensert")
 
 
 def _addr(raw: str) -> tuple[str, int]:
-    host, _, port = raw.rpartition(":")
-    if not host or not port.isdigit():
-        raise argparse.ArgumentTypeError(f"expected host:port, got {raw!r}")
-    return host, int(port)
+    try:
+        return parse_addr(raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_brokers(raw: str) -> dict[str, tuple[str, int]]:

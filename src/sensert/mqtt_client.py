@@ -71,13 +71,23 @@ class MqttClient:
     async def wait_closed(self) -> None:
         await self._closed.wait()
 
-    async def publish(self, topic: str, payload: bytes, retain: bool = False) -> None:
-        self.publish_nowait(topic, payload, retain)
+    def write(self, frames: bytes) -> None:
+        """Queue encoded frames on the transport; MqttError once closed."""
+        if self.closed:
+            raise MqttError("client is closed")
+        self._writer.write(frames)
+
+    async def drain(self) -> None:
+        """Wait for transport backpressure; a failed drain closes the client."""
         try:
             await self._writer.drain()
         except (ConnectionError, OSError) as exc:
             self._shutdown()
             raise MqttError(str(exc)) from exc
+
+    async def publish(self, topic: str, payload: bytes, retain: bool = False) -> None:
+        self.publish_nowait(topic, payload, retain)
+        await self.drain()
 
     def publish_nowait(self, topic: str, payload: bytes, retain: bool = False) -> None:
         """Queue the frame on the transport without awaiting backpressure.
@@ -85,9 +95,7 @@ class MqttClient:
         No suspension point, so callers that must pair a send with local
         bookkeeping cannot be cancelled between the two.
         """
-        if self.closed:
-            raise MqttError("client is closed")
-        self._writer.write(wire.encode_packet(wire.Publish(topic, bytes(payload), retain)))
+        self.write(wire.encode_packet(wire.Publish(topic, bytes(payload), retain)))
 
     async def subscribe(self, filters: list[str], timeout: float = 5.0) -> list[int]:
         pid = next(self._packet_ids)

@@ -16,7 +16,9 @@ all read it.
 
 Every outbound connection (bridges, the feed handler, the router, the
 simulator's uplinks, the ZigBee translator) is a :class:`Link`, whose ``up``
-is set only while the connection can carry traffic.
+is set only while the connection can carry traffic. Every writer from a queue
+to a connection (broker sessions, bridge-out forwarders, DataMonitor clients,
+the router's routes) is a :class:`Pump`, which drains or keeps each item.
 """
 
 from __future__ import annotations
@@ -41,6 +43,14 @@ BACKOFF_CAP_S = 30.0
 def now_ms() -> int:
     """Wall-clock epoch milliseconds."""
     return time.time_ns() // 1_000_000
+
+
+def parse_addr(raw: str) -> tuple[str, int]:
+    """``"host:port"`` as ``(host, port)``: ValueError without a host or a 0-65535 port."""
+    host, _, port = str(raw).rpartition(":")
+    if not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise ValueError(f"expected host:port with a port from 0 to 65535, got {raw!r}")
+    return host, int(port)
 
 
 class QueueClosed(Exception):
@@ -117,6 +127,38 @@ class BoundedQueue(Generic[T]):
     def close(self) -> None:
         self.closed = True
         self._wake.set()
+
+
+class Pump(Generic[T]):
+    """One send path from a queue to a connection.
+
+    :meth:`run` takes an item from ``queue``, writes ``encode(item)`` to
+    ``out`` (anything with ``write(bytes)`` and ``async drain()``) and awaits
+    ``out.drain()``, one write per item; ``sent`` counts the items drained.
+    An item taken is drained or kept: when ``encode``, ``write`` or ``drain``
+    raises, or the run is cancelled, the pump holds the item and the next
+    ``run`` writes it first.
+    """
+
+    def __init__(self, queue: BoundedQueue[T], encode: Callable[[T], bytes]):
+        self.queue = queue
+        self.encode = encode
+        self.sent = 0
+        self._held: T | None = None  # taken from the queue, not yet drained
+
+    async def run(self, out) -> None:
+        """Send until the queue is closed and empty; write errors propagate."""
+        get, encode, write, drain = self.queue.get, self.encode, out.write, out.drain
+        try:
+            while True:
+                if self._held is None:
+                    self._held = await get()
+                write(encode(self._held))
+                await drain()
+                self._held = None
+                self.sent += 1
+        except QueueClosed:
+            return
 
 
 class Link(Generic[C]):

@@ -15,7 +15,8 @@ from typing import Any
 
 from .. import wire
 from ..decoders import DeadLetter, NormalizedMessage
-from .bus import DerivedEvent, Subscription
+from ..pipe import Pump
+from .bus import BusEnvelope, DerivedEvent, Subscription
 from .server import Verticle
 
 log = logging.getLogger(__name__)
@@ -32,6 +33,15 @@ def encode_body(body: Any) -> bytes:
     if isinstance(body, NormalizedMessage):
         return body.encoded
     return json.dumps(body_to_jsonable(body), ensure_ascii=False).encode("utf-8")
+
+
+def encode_line(env: BusEnvelope) -> bytes:
+    """One pushed line: the envelope head, formatted as json.dumps would, then
+    the body's bytes."""
+    head = (f'{{"address": {json.dumps(env.address, ensure_ascii=False)}, '
+            f'"published_at": {env.published_at}, "seq": {env.seq}, '
+            f'"stale": false, "body": ')
+    return b"".join((head.encode("utf-8"), encode_body(env.body), b"}\n"))
 
 
 def filter_list(req: dict) -> list[str]:
@@ -79,16 +89,6 @@ class DataMonitor(Verticle):
         subs: dict[str, Subscription] = {}
         pumps: dict[str, asyncio.Task] = {}
 
-        async def pump(sub: Subscription) -> None:
-            while True:
-                env = await sub.get()
-                # the envelope head, formatted as json.dumps would, then the body's bytes
-                head = (f'{{"address": {json.dumps(env.address, ensure_ascii=False)}, '
-                        f'"published_at": {env.published_at}, "seq": {env.seq}, '
-                        f'"stale": false, "body": ')
-                writer.write(b"".join((head.encode("utf-8"), encode_body(env.body), b"}\n")))
-                await writer.drain()
-
         def reply(obj: dict) -> None:
             writer.write((json.dumps(obj) + "\n").encode("utf-8"))
 
@@ -109,7 +109,8 @@ class DataMonitor(Verticle):
                         added = [f for f in dict.fromkeys(filters) if f not in subs]
                         for f in added:
                             subs[f] = self.bus.subscribe(f, owner=f"{self.name}-client")
-                            pumps[f] = asyncio.create_task(pump(subs[f]))
+                            pumps[f] = asyncio.create_task(
+                                Pump(subs[f].queue, encode_line).run(writer))
                         reply({"ok": "subscribe", "filters": added})
                     elif method == "unsubscribe":
                         removed = [f for f in dict.fromkeys(filter_list(req)) if f in subs]

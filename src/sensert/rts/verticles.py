@@ -6,12 +6,14 @@ import json
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
+from .. import wire
 from ..decoders import NormalizedMessage, RawSensorMessage, default_registry
 from ..mqtt_client import MqttClient, subscribed
-from ..pipe import Link, now_ms
-from .bus import DerivedEvent, SubscriptionPolicy
+from ..pipe import Link, Pump, now_ms, parse_addr
+from .bus import BusEnvelope, DerivedEvent, SubscriptionPolicy
 from .coffee import CoffeeConfig, CoffeeState, DEFAULT_CONFIG, coffee_step
 from .monitor import encode_body
 from .server import Verticle
@@ -298,6 +300,18 @@ class RouteRule:
     remote: str  # "host:port"
     topic_template: str = "normalized/{address}"
 
+    def __post_init__(self):
+        self.remote_host, self.remote_port = parse_addr(self.remote)
+        try:  # every address is a bus topic, so a sample one stands for all
+            wire.validate_topic(self.topic_template.format(address="feed/x/y"))
+        except (KeyError, IndexError, AttributeError) as exc:
+            raise ValueError(f"bad topic template {self.topic_template!r}: {exc!r}") from None
+
+    def frame(self, env: BusEnvelope) -> bytes:
+        """An envelope as the PUBLISH frame this route sends."""
+        return wire.encode_packet(wire.Publish(
+            self.topic_template.format(address=env.address), encode_body(env.body)))
+
     @classmethod
     def from_jsonable(cls, raw: dict) -> "RouteRule":
         return cls(filter=raw["filter"], remote=raw["remote"],
@@ -307,8 +321,11 @@ class RouteRule:
 class MessageRouter(Verticle):
     """Bus -> remote broker: share matching envelopes with a peer system.
 
-    Envelopes buffer in the subscription queue (10k, drop-oldest) while the
-    remote is unreachable and flush in order once it returns.
+    Each route is a subscription, a :class:`~sensert.pipe.Pump` and a
+    :class:`~sensert.pipe.Link`, kept for the router's life. Envelopes buffer
+    in the subscription queue (10k, drop-oldest) while the remote is down and
+    flush in order once it returns, the one in hand at the drop first.
+    ``forwarded`` counts envelopes written and drained over all routes.
     """
 
     name = "messagerouter"
@@ -316,33 +333,21 @@ class MessageRouter(Verticle):
     def __init__(self, routes: list[RouteRule]):
         super().__init__()
         self.routes = routes
-        self.forwarded = 0
-        self.links: list[Link[MqttClient]] = []  # one per route, in order
+        self.pumps: list[Pump] = []  # one per route, in order
+        self.links: list[Link[MqttClient]] = []
+
+    @property
+    def forwarded(self) -> int:
+        return sum(pump.sent for pump in self.pumps)
 
     async def start(self, bus) -> None:
         await super().start(bus)
         for index, route in enumerate(self.routes):
             sub = self.subscribe(route.filter, SubscriptionPolicy(queue_capacity=10_000))
-            self.links.append(self._route_link(index, route, sub))
+            self.pumps.append(Pump(sub.queue, route.frame))
+            # one client id per route: two routes to one peer must not supersede each other
+            connect = partial(MqttClient.connect, route.remote_host, route.remote_port,
+                              client_id=f"rts-router-{id(self) & 0xFFFF}-{index}",
+                              keep_alive_s=30)
+            self.links.append(Link(connect, self.pumps[-1].run))
             self.spawn(self.links[-1].run())
-
-    def _route_link(self, index: int, route: RouteRule, sub) -> Link[MqttClient]:
-        # one client id per route: two routes to one peer must not supersede each other
-        client_id = f"rts-router-{id(self) & 0xFFFF}-{index}"
-        host, _, port = route.remote.rpartition(":")
-        # an envelope taken from sub but not yet published survives reconnects
-        pending: tuple[str, bytes] | None = None
-
-        async def serve(client: MqttClient) -> None:
-            nonlocal pending
-            while True:
-                if pending is None:
-                    env = await sub.get()
-                    pending = (route.topic_template.format(address=env.address),
-                               encode_body(env.body))
-                await client.publish(*pending)
-                pending = None
-                self.forwarded += 1
-
-        return Link(lambda: MqttClient.connect(host, int(port), client_id=client_id,
-                                               keep_alive_s=30), serve)

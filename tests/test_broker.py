@@ -1,6 +1,7 @@
 """Broker behaviour: loopback pub/sub, routing, grants, faults, load."""
 
 import asyncio
+import json
 import random
 import socket
 
@@ -378,6 +379,16 @@ def test_broker_config_parsing():
     assert cfg.bridges[0].local_prefix == "ttn"
     with pytest.raises(ValueError):
         BridgeRule(remote="x:1", direction="sideways")
+
+
+@pytest.mark.parametrize("remote", ["1883", "127.0.0.1:notaport", "127.0.0.1:65536"])
+def test_bad_addresses_fail_when_the_config_is_built(remote):
+    with pytest.raises(ValueError):
+        BridgeRule(remote=remote, direction="in")
+    with pytest.raises(ValueError):
+        BrokerConfig(listen=remote)
+    with pytest.raises(ValueError):
+        BrokerConfig.from_json(json.dumps({"bridges": [{"remote": remote}]}))
 
 
 def test_publish_in_the_connack_segment_is_not_lost():

@@ -1,5 +1,6 @@
-"""The shared pipeline primitives: BoundedQueue, Link, now_ms."""
+"""The shared pipeline primitives: BoundedQueue, Pump, Link, parse_addr, now_ms."""
 
+import argparse
 import asyncio
 import time
 
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sensert import pipe
+from sensert import pipe, wire
 from sensert.broker import Broker
+from sensert.cli import _addr
 from sensert.mqtt_client import MqttClient, MqttError
-from sensert.pipe import BoundedQueue, Link, QueueClosed, now_ms
+from sensert.pipe import BoundedQueue, Link, Pump, QueueClosed, now_ms, parse_addr
 
 
 def run(coro):
@@ -100,6 +102,134 @@ def test_timed_out_get_loses_no_item():
         assert q.conserved() and q.dropped == 0
 
     run(main())
+
+
+class FakeOut:
+    """A connection for a Pump: records writes; ``fail`` drains raise, and
+    while ``hold`` is set a drain waits on it."""
+
+    def __init__(self, fail: int = 0, hold: asyncio.Event | None = None):
+        self.writes: list[bytes] = []
+        self.fail = fail
+        self.hold = hold
+
+    def write(self, data: bytes) -> None:
+        self.writes.append(data)
+
+    async def drain(self) -> None:
+        if self.hold is not None:
+            await self.hold.wait()
+        if self.fail:
+            self.fail -= 1
+            raise ConnectionResetError("drain failed")
+
+
+def line(i: int) -> bytes:
+    return b"%d\n" % i
+
+
+def test_pump_writes_each_item_once_in_order_and_returns_once_closed():
+    async def main():
+        q = BoundedQueue(8)
+        pump, out = Pump(q, line), FakeOut()
+        task = asyncio.create_task(pump.run(out))
+        for i in range(5):
+            q.put(i)
+        await asyncio.sleep(0.01)
+        assert not task.done()  # waiting for the next item
+        q.put(5)
+        q.close()
+        await asyncio.wait_for(task, 1)
+        assert out.writes == [line(i) for i in range(6)]  # one write per item
+        assert pump.sent == 6
+        assert (q.offered, q.delivered, q.dropped, q.pending) == (6, 6, 0, 0)
+        await asyncio.wait_for(pump.run(FakeOut()), 1)  # closed and drained: returns at once
+        assert pump.sent == 6
+
+    run(main())
+
+
+def test_pump_keeps_the_item_whose_drain_failed_and_writes_it_first():
+    async def main():
+        q = BoundedQueue(8)
+        for i in range(4):
+            q.put(i)
+        pump, lost = Pump(q, line), FakeOut(fail=1)
+        with pytest.raises(ConnectionResetError):
+            await pump.run(lost)
+        assert lost.writes == [line(0)]
+        assert pump.sent == 0 and (q.delivered, q.pending) == (1, 3)
+        q.close()
+        out = FakeOut()
+        await asyncio.wait_for(pump.run(out), 1)
+        assert out.writes == [line(i) for i in range(4)]  # the kept item once, then the rest
+        assert pump.sent == 4 and q.delivered == 4 and q.conserved()
+
+    run(main())
+
+
+def test_pump_cancelled_during_drain_keeps_the_item():
+    async def main():
+        q = BoundedQueue(8)
+        q.put(0)
+        q.put(1)
+        pump, stalled = Pump(q, line), FakeOut(hold=asyncio.Event())
+        task = asyncio.create_task(pump.run(stalled))
+        await asyncio.sleep(0.01)
+        assert stalled.writes == [line(0)]
+        task.cancel()
+        await asyncio.gather(task, return_exceptions=True)
+        assert task.cancelled() and pump.sent == 0
+        q.close()
+        out = FakeOut()
+        await asyncio.wait_for(pump.run(out), 1)
+        assert out.writes == [line(0), line(1)] and pump.sent == 2
+
+    run(main())
+
+
+def test_pump_keeps_the_item_when_its_mqtt_client_is_closed():
+    """An MqttClient is a pump's connection: a closed client refuses the
+    write, and the next client gets the item."""
+    async def main():
+        broker = Broker()
+        await broker.start("127.0.0.1", 0)
+        sub = await MqttClient.connect(*broker.address, client_id="sub")
+        await sub.subscribe(["t/#"])
+        gone = await MqttClient.connect(*broker.address, client_id="gone")
+        await gone.close()
+        q = BoundedQueue(8)
+        q.put(("t/0", b"0"))
+        pump = Pump(q, lambda item: wire.encode_packet(wire.Publish(*item)))
+        with pytest.raises(MqttError):
+            await pump.run(gone)
+        q.put(("t/1", b"1"))
+        q.close()
+        pub = await MqttClient.connect(*broker.address, client_id="pub")
+        await asyncio.wait_for(pump.run(pub), 1)
+        assert [(await sub.next_message(timeout=1))[:2] for _ in range(2)] == [
+            ("t/0", b"0"), ("t/1", b"1")]
+        assert pump.sent == 2
+        for client in (pub, sub):
+            await client.close()
+        await broker.stop()
+
+    run(main())
+
+
+@pytest.mark.parametrize("raw", ["1883", "127.0.0.1:notaport", "h:99999", ":1883",
+                                 "h:", "h:-1", "h:\u00b2", 1883])
+def test_parse_addr_rejects_what_is_not_host_port(raw):
+    with pytest.raises(ValueError):
+        parse_addr(raw)
+
+
+def test_parse_addr_and_the_cli_address_type():
+    assert parse_addr("127.0.0.1:0") == ("127.0.0.1", 0)
+    assert parse_addr("example.org:65535") == ("example.org", 65535)
+    assert _addr("h:1") == ("h", 1)
+    with pytest.raises(argparse.ArgumentTypeError):
+        _addr("h:99999")
 
 
 class FakeConn:

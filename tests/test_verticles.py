@@ -609,6 +609,26 @@ def test_router_buffers_while_remote_down_then_flushes_in_order():
     run(main())
 
 
+@pytest.mark.parametrize("remote, template", [
+    ("1883", "normalized/{address}"),
+    ("127.0.0.1:notaport", "normalized/{address}"),
+    ("127.0.0.1:1883", "x/#/{address}"),  # a wildcard cannot be in a topic
+    ("127.0.0.1:1883", "x/{device}"),  # unknown placeholder
+    ("127.0.0.1:1883", "x/{0}"),
+    ("127.0.0.1:1883", "x/{address.family}"),
+    ("127.0.0.1:1883", "x/{address"),
+])
+def test_route_rule_rejects_bad_remote_or_template_when_built(remote, template):
+    with pytest.raises(ValueError):
+        RouteRule(filter="feed/#", remote=remote, topic_template=template)
+
+
+def test_route_rule_accepts_address_templates():
+    for template in ("{address}", "normalized/{address}", "site/{address}/raw"):
+        rule = RouteRule(filter="feed/#", remote="peer:1884", topic_template=template)
+        assert (rule.remote_host, rule.remote_port) == ("peer", 1884)
+
+
 def test_two_routes_to_one_peer_keep_one_session_each():
     async def main():
         peer = Broker(name="peer")
