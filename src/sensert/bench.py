@@ -85,16 +85,19 @@ def extract_msg_key(topic: str, payload: bytes) -> tuple[str, int] | None:
     sim_t0 = obj.get("sim_t0")
     if not isinstance(sim_t0, (int, float)) or isinstance(sim_t0, bool):
         return None
+    if not -math.inf < sim_t0 < math.inf:  # nan and inf are no time
+        return None
+    t0 = int(sim_t0)
     ids = obj.get("end_device_ids")
     if isinstance(ids, dict) and ids.get("device_id"):
-        return str(ids["device_id"]), int(sim_t0)
+        return str(ids["device_id"]), t0
     if obj.get("id"):
-        return str(obj["id"]), int(sim_t0)
+        return str(obj["id"]), t0
     levels = topic.split("/")
     if len(levels) >= 2 and levels[0] in ("tele", "coffee", "deepdish", "zigbee"):
-        return levels[1], int(sim_t0)
+        return levels[1], t0
     if len(levels) >= 5 and levels[0] == "v3":
-        return levels[3], int(sim_t0)
+        return levels[3], t0
     return None
 
 

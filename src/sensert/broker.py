@@ -18,12 +18,13 @@ import itertools
 import json
 import logging
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Callable
 
 from . import wire
 from .mqtt_client import MqttClient, subscribed
-from .pipe import BoundedQueue, Link, Pump, now_ms, parse_addr
+from .pipe import BoundedQueue, Link, Pump, Sink, now_ms, parse_addr
 
 log = logging.getLogger(__name__)
 
@@ -96,20 +97,16 @@ class ClientSession(_Subscriber):
         self.writer_task: asyncio.Task | None = None
 
     async def run_writer(self) -> None:
-        try:
+        with suppress(ConnectionError, OSError):
             await self.pump.run(self.writer)
-        except (ConnectionError, OSError):
-            pass
 
     def close(self) -> None:
         """Stop writing; frames still queued stay pending, not dropped."""
         self.queue.close()
         if self.writer_task is not None:
             self.writer_task.cancel()
-        try:
+        with suppress(Exception):
             self.writer.close()
-        except Exception:
-            pass
 
 
 class Broker:
@@ -254,10 +251,8 @@ class Broker:
             if session is not None:
                 self._drop_session(session)
             else:
-                try:
+                with suppress(Exception):
                     writer.close()
-                except Exception:
-                    pass
 
     async def _session_loop(self, reader, session: ClientSession, buf: bytearray) -> None:
         while (pkt := await wire.read_packet(reader, buf)) is not None:
@@ -304,7 +299,8 @@ class Bridge:
     Because both its in-subscription and out-forwarding share that single
     connection (one link id locally, one session remotely), ingress-link
     exclusion on either side prevents echo loops. ``link.up`` is set once
-    the remote has acknowledged the in-filter.
+    the remote has acknowledged the in-filter. ``sink.failed`` counts
+    bridged-in publishes whose routing raised.
     """
 
     def __init__(self, broker: Broker, rule: BridgeRule):
@@ -312,6 +308,7 @@ class Bridge:
         self.rule = rule
         self.link_id = broker.new_link_id()
         self.link: Link[MqttClient] = Link(self._open, self._serve)
+        self.sink = Sink(f"bridge-in:{rule.remote}")
         # kept for the bridge's life, so its pump's publish in hand survives a reconnect
         self._out_sub: _Subscriber | None = None
         self._task: asyncio.Task | None = None
@@ -341,16 +338,15 @@ class Bridge:
         return await subscribed(client, [self.rule.filter])
 
     async def _serve(self, client: MqttClient) -> None:
-        """Route what the remote sends until the connection closes (MqttError),
-        forwarding the out-queue to it meanwhile. A failed forward closes the
-        client, which ends this loop too."""
+        """Route what the remote sends until the connection closes, forwarding
+        the out-queue to it meanwhile. A failed forward closes the client,
+        which ends the routing too."""
         out = self._out_sub
         forward = asyncio.create_task(out.pump.run(client)) if out is not None else None
         prefix = f"{self.rule.local_prefix}/" if self.rule.local_prefix else ""
         try:
-            while True:
-                topic, payload, _retain = await client.next_message()
-                self.broker.route_publish(self.link_id, prefix + topic, payload, from_bridge=True)
+            await self.sink.run(client.inbound, lambda item: self.broker.route_publish(
+                self.link_id, prefix + item[0], item[1], from_bridge=True))
         finally:
             if forward is not None:
                 forward.cancel()

@@ -38,6 +38,17 @@ def _addr(raw: str) -> tuple[str, int]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _loaded(load):
+    """An argparse type that reads a file with ``load(path)``; any failure is a usage error."""
+    def parse(raw: str):
+        try:
+            return load(Path(raw))
+        except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise argparse.ArgumentTypeError(
+                f"cannot load {raw}: {type(exc).__name__}: {exc}") from None
+    return parse
+
+
 def _parse_brokers(raw: str) -> dict[str, tuple[str, int]]:
     out = {}
     for part in raw.split(","):
@@ -71,13 +82,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("broker", help="run one MQTT-subset broker (with optional bridges)")
-    p.add_argument("--config", type=Path, required=True, help="JSON broker config")
+    p.add_argument("--config", type=_loaded(lambda path: BrokerConfig.from_json(path.read_text())),
+                   required=True, help="JSON broker config")
     p.add_argument("--stats-interval", type=_seconds, default=10.0, metavar="SECONDS")
 
     p = sub.add_parser("sim", help="run the sensor fleet simulator")
     p.add_argument("--brokers", type=_parse_brokers, required=True,
                    metavar="local=H:P[,ttn=H:P][,zigbee=H:P]")
-    p.add_argument("--fleet", type=Path, help="fleet JSON file (list of device profiles)")
+    p.add_argument("--fleet", type=_loaded(load_fleet),
+                   help="fleet JSON file (list of device profiles)")
     p.add_argument("--scenario", choices=sorted(SCENARIOS), help="scripted scenario to run")
     p.add_argument("--duration", type=float, default=300.0, metavar="SECONDS")
     p.add_argument("--seed", type=int, default=42)
@@ -88,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--broker", type=_addr, required=True, metavar="H:P")
     p.add_argument("--data-root", type=Path, required=True)
     p.add_argument("--monitor-listen", type=_addr, default=("127.0.0.1", 8886), metavar="H:P")
-    p.add_argument("--rules", type=Path, help="threshold rules JSON file")
+    p.add_argument("--rules", help="threshold rules JSON file", type=_loaded(
+        lambda path: [ThresholdRule.from_jsonable(r) for r in json.loads(path.read_text())]))
 
     p = sub.add_parser("meta", help="metadata store operations")
     p.add_argument("--root", type=Path, default=Path("metadata"))
@@ -114,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", default="coffee", choices=sorted(SCENARIOS))
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", type=Path, help="directory for bench CSVs")
-    p.add_argument("--config", type=Path, help="stack config JSON (overrides port flags)")
+    p.add_argument("--config", type=_loaded(lambda path: StackConfig.from_json(path.read_text())),
+                   help="stack config JSON (overrides port flags)")
     p.add_argument("--local-port", type=int, default=1883)
     p.add_argument("--ttn-port", type=int, default=1884)
     p.add_argument("--zigbee-port", type=int, default=1885)
@@ -129,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 async def _run_broker(args) -> int:
-    config = BrokerConfig.from_json(args.config.read_text())
+    config = args.config
     broker = Broker(name="broker")
     for rule in config.bridges:
         broker.add_bridge(rule)
@@ -156,7 +171,7 @@ async def _run_sim(args) -> int:
     if "local" not in brokers:
         log.error("--brokers must include local=host:port")
         return 2
-    profiles = load_fleet(args.fleet) if args.fleet else []
+    profiles = args.fleet or []
     scenario = SCENARIOS[args.scenario]() if args.scenario else None
     if not profiles and scenario is None:
         log.error("nothing to run: give --fleet and/or --scenario")
@@ -201,9 +216,7 @@ async def _run_sim(args) -> int:
 
 
 async def _run_rts(args) -> int:
-    rules = []
-    if args.rules:
-        rules = [ThresholdRule.from_jsonable(r) for r in json.loads(args.rules.read_text())]
+    rules = args.rules or []
     rts = RealTimeServer()
     await rts.deploy(FeedHandler(*args.broker))
     await rts.deploy(MessageFiler(args.data_root))
@@ -284,7 +297,7 @@ async def _run_bench(args) -> int:
 
 async def _run_demo(args) -> int:
     if args.config:
-        config = StackConfig.from_json(args.config.read_text())
+        config = args.config
     elif args.ephemeral:
         config = StackConfig()
     else:

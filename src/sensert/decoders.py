@@ -259,12 +259,8 @@ def decode_normalized_passthrough(m: RawSensorMessage) -> NormalizedMessage:
 def _looks_normalized(topic: str, payload: bytes) -> bool:
     if topic.startswith("normalized/"):
         return True
-    if not payload.startswith(b"{"):
-        return False
-    for needle in (b'"device_id"', b'"ts"', b'"family"', b'"cooked"'):
-        if needle not in payload:
-            return False
-    return True
+    return payload.startswith(b"{") and all(
+        needle in payload for needle in (b'"device_id"', b'"ts"', b'"family"', b'"cooked"'))
 
 
 def _topic_shape(prefix: str, nlevels: int | None = None, last: str | None = None):
@@ -272,11 +268,8 @@ def _topic_shape(prefix: str, nlevels: int | None = None, last: str | None = Non
         levels = topic.split("/")
         if levels[0] != prefix:
             return False
-        if nlevels is not None and len(levels) != nlevels:
-            return False
-        if last is not None and levels[-1] != last:
-            return False
-        return True
+        return ((nlevels is None or len(levels) == nlevels)
+                and (last is None or levels[-1] == last))
 
     return matcher
 

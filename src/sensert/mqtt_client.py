@@ -6,6 +6,7 @@ import asyncio
 import itertools
 import logging
 import uuid
+from contextlib import suppress
 
 from . import wire
 from .pipe import BoundedQueue, QueueClosed
@@ -20,8 +21,8 @@ class MqttError(ConnectionError):
 class MqttClient:
     """QoS-0 clean-session client over plaintext TCP.
 
-    Every incoming publish goes to one drop-newest inbound queue, drained via
-    :meth:`next_message`.
+    Every incoming publish goes to one drop-newest inbound queue, ``inbound``,
+    which a :class:`~sensert.pipe.Sink` or :meth:`next_message` drains.
     """
 
     def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
@@ -126,11 +127,9 @@ class MqttClient:
 
     async def close(self) -> None:
         if not self.closed:
-            try:
+            with suppress(ConnectionError, OSError):
                 self._writer.write(wire.encode_packet(wire.Disconnect()))
                 await self._writer.drain()
-            except (ConnectionError, OSError):
-                pass
         self._shutdown()
         me = asyncio.current_task()
         for t in self._tasks:
@@ -184,10 +183,8 @@ class MqttClient:
                     fut.set_exception(MqttError("connection closed"))
             self._pending.clear()
             self.inbound.close()
-            try:
+            with suppress(Exception):
                 self._writer.close()
-            except Exception:
-                pass
 
 
 async def subscribed(client: MqttClient, filters: list[str]) -> MqttClient:

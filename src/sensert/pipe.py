@@ -19,6 +19,8 @@ simulator's uplinks, the ZigBee translator) is a :class:`Link`, whose ``up``
 is set only while the connection can carry traffic. Every writer from a queue
 to a connection (broker sessions, bridge-out forwarders, DataMonitor clients,
 the router's routes) is a :class:`Pump`, which drains or keeps each item.
+Every other queue but the device buffers feeds in-process code through a
+:class:`Sink`, which handles each item as it is taken and outlives a failure.
 """
 
 from __future__ import annotations
@@ -157,6 +159,32 @@ class Pump(Generic[T]):
                 await drain()
                 self._held = None
                 self.sent += 1
+        except QueueClosed:
+            return
+
+
+class Sink:
+    """One receive path from queues to in-process code.
+
+    :meth:`run` hands each item of ``queue`` to the synchronous ``handle`` as
+    soon as it is taken, in order, until the queue is closed and drained: an
+    empty queue means handled. An item whose ``handle`` raises is logged with
+    its traceback and counted in ``failed`` (over every queue the sink runs).
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+        self.failed = 0
+
+    async def run(self, queue: BoundedQueue[T], handle: Callable[[T], None]) -> None:
+        try:
+            while True:
+                item = await queue.get()
+                try:
+                    handle(item)
+                except Exception:
+                    self.failed += 1
+                    log.exception("%s: handler failed on %.200r", self.name, item)
         except QueueClosed:
             return
 

@@ -4,8 +4,8 @@ There is one bus per server rather than one mailbox per actor; per-subscriber
 isolation comes from each subscription's own :class:`~sensert.pipe.BoundedQueue`.
 ``publish`` is a plain synchronous enqueue and never executes subscriber code
 inline, so its cost is independent of how slow any consumer is. A subscription
-is a filter, an owner and its queue, and the queue's own counters are the bus
-ledger: ``offered = delivered + dropped + pending``.
+is a filter, an owner and its drop-oldest queue, whose own counters are the
+bus ledger: ``offered = delivered + dropped + pending``.
 
 Subscriptions are indexed by filter in one :class:`~sensert.wire.TopicTree`,
 so a publish costs O(levels + matches) whatever the number of subscriptions.
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .. import wire
-from ..pipe import BoundedQueue, Overflow, now_ms
+from ..pipe import BoundedQueue, now_ms
 
 
 # Extensible vocabulary for derived events.
@@ -78,18 +78,16 @@ class BusEnvelope:
 @dataclass
 class SubscriptionPolicy:
     queue_capacity: int = 1024
-    overflow: Overflow = "drop_oldest"
 
 
 class Subscription:
-    """One filter's queue, owned by one consumer; ``get``/``get_nowait`` are the queue's."""
+    """A filter, its owner and its drop-oldest queue; ``get``/``get_nowait`` are the queue's."""
 
     def __init__(self, filter_raw: str, policy: SubscriptionPolicy, owner: str = ""):
         self.filter = filter_raw
         self.filter_levels = wire.validate_filter(filter_raw)
         self.owner = owner
-        self.queue: BoundedQueue[BusEnvelope] = BoundedQueue(policy.queue_capacity,
-                                                             policy.overflow)
+        self.queue: BoundedQueue[BusEnvelope] = BoundedQueue(policy.queue_capacity)
         self.get = self.queue.get
         self.get_nowait = self.queue.get_nowait
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+from contextlib import suppress
 from typing import Any
 
 from .. import wire
@@ -133,10 +134,8 @@ class DataMonitor(Verticle):
                 task.cancel()
             for sub in subs.values():
                 self.bus.unsubscribe(sub)
-            try:
+            with suppress(Exception):
                 writer.close()
-            except Exception:
-                pass
             await asyncio.gather(*pumps.values(), return_exceptions=True)
 
 
@@ -175,8 +174,6 @@ class MonitorClient:
         return json.loads(raw.decode("utf-8"))
 
     async def close(self) -> None:
-        try:
+        with suppress(ConnectionError, OSError):
             self._writer.close()
             await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass

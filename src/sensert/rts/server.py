@@ -5,6 +5,7 @@ from __future__ import annotations
 import asyncio
 import logging
 
+from ..pipe import Sink
 from .bus import EventBus, Subscription
 
 log = logging.getLogger(__name__)
@@ -15,7 +16,9 @@ class Verticle:
 
     Subclasses override :meth:`start` to create subscriptions (via
     ``self.subscribe``) and spawn tasks (via ``self.spawn``); both are torn
-    down on undeploy without touching any other verticle's queues.
+    down on undeploy without touching any other verticle's queues. Queued
+    items reach its code through its one :class:`~sensert.pipe.Sink`
+    (``self.consume``), so ``sink.failed`` counts every item that raised.
     """
 
     name = "verticle"
@@ -24,6 +27,7 @@ class Verticle:
         self.bus: EventBus | None = None
         self._tasks: list[asyncio.Task] = []
         self._subs: list[Subscription] = []
+        self.sink = Sink(self.name)
 
     async def start(self, bus: EventBus) -> None:
         self.bus = bus
@@ -43,6 +47,10 @@ class Verticle:
         sub = self.bus.subscribe(filter_raw, policy, owner=self.name)
         self._subs.append(sub)
         return sub
+
+    def consume(self, filter_raw: str, handle, policy=None) -> None:
+        """Subscribe and hand every envelope to ``handle`` through the sink."""
+        self.spawn(self.sink.run(self.subscribe(filter_raw, policy).queue, handle))
 
     def spawn(self, coro) -> asyncio.Task:
         task = asyncio.create_task(coro)

@@ -22,7 +22,7 @@ DAY_MS = 86_400_000  # a POSIX day: UTC days start at multiples of it
 
 
 class FeedHandler(Verticle):
-    """Broker -> bus: decode every arriving message and republish it."""
+    """Broker -> bus: decode every arriving message and republish it (or dead-letter it)."""
 
     name = "feedhandler"
 
@@ -34,7 +34,9 @@ class FeedHandler(Verticle):
         self.received = 0
         self.published = 0
         self.deadlettered = 0
-        self.link: Link[MqttClient] = Link(self._open, self._serve)  # up once subscribed to #
+        # up once subscribed to #; a closed client ends the sink's run, and the link reconnects
+        self.link: Link[MqttClient] = Link(
+            self._open, lambda client: self.sink.run(client.inbound, self._republish))
 
     def pending(self) -> int:
         client = self.link.conn
@@ -49,19 +51,18 @@ class FeedHandler(Verticle):
                                           client_id=f"rts-{self.name}", keep_alive_s=30)
         return await subscribed(client, ["#"])
 
-    async def _serve(self, client: MqttClient) -> None:
-        while True:
-            topic, payload, _retain = await client.next_message()
-            self.received += 1
-            raw = RawSensorMessage(topic=topic, payload=payload, received_at=now_ms())
-            result = self.registry.normalize_or_deadletter(raw)
-            if isinstance(result, NormalizedMessage):
-                address = f"feed/{result.family}/{result.device_id}"
-                self.bus.publish(address, result, publisher=self.name)
-                self.published += 1
-            else:
-                self.bus.publish("feed/deadletter", result, publisher=self.name)
-                self.deadlettered += 1
+    def _republish(self, item: tuple[str, bytes, bool]) -> None:
+        topic, payload, _retain = item
+        self.received += 1
+        raw = RawSensorMessage(topic=topic, payload=payload, received_at=now_ms())
+        result = self.registry.normalize_or_deadletter(raw)
+        if isinstance(result, NormalizedMessage):
+            address = f"feed/{result.family}/{result.device_id}"
+            self.bus.publish(address, result, publisher=self.name)
+            self.published += 1
+        else:
+            self.bus.publish("feed/deadletter", result, publisher=self.name)
+            self.deadlettered += 1
 
 
 class MessageFiler(Verticle):
@@ -72,12 +73,13 @@ class MessageFiler(Verticle):
     its line and closes it again, then, unless it is older than the stored
     one, writes latest.json the same way and replaces it, on plain str paths.
     The filer holds no file open between readings, so its fd use does not
-    grow with the fleet. Filing a reading never awaits, so once the queue is
-    empty everything taken from it is on disk.
+    grow with the fleet. Its sink files each reading as it is taken, so once
+    the queue is empty everything taken from it is on disk.
 
     ``errors`` counts readings whose line was not written; ``latest_errors``
     counts latest.json replacements that failed. Each failure publishes
-    ``sys/filer/error`` naming the file.
+    ``sys/filer/error`` naming the file. ``sink.failed`` counts readings whose
+    filing raised anything else.
     """
 
     name = "messagefiler"
@@ -95,17 +97,12 @@ class MessageFiler(Verticle):
         await super().start(bus)
         self.data_root.mkdir(parents=True, exist_ok=True)
         # readings only: feed/deadletter is counted where it is made, not here
-        sub = self.subscribe("feed/+/+", SubscriptionPolicy(queue_capacity=8192))
-        self.spawn(self._run(sub))
+        self.consume("feed/+/+", self._file, SubscriptionPolicy(queue_capacity=8192))
 
-    async def _run(self, sub) -> None:
-        while True:
-            msg = (await sub.get()).body
-            # no await until the reading is on disk: Stack.drain reads an empty queue as filed
-            if isinstance(msg, NormalizedMessage):
-                self._file(msg)
-
-    def _file(self, msg: NormalizedMessage) -> None:
+    def _file(self, env: BusEnvelope) -> None:
+        msg = env.body
+        if not isinstance(msg, NormalizedMessage):
+            return
         path = self._day_path(msg)
         try:
             _write_file(path, os.O_APPEND, msg.encoded + b"\n")
@@ -226,31 +223,28 @@ class ThresholdWatch(Verticle):
     async def start(self, bus) -> None:
         await super().start(bus)
         for index, rule in enumerate(self.rules):
-            sub = self.subscribe(rule.filter)
-            self.spawn(self._watch(index, rule, sub))
+            self.consume(rule.filter, partial(self._check, index, rule))
 
-    async def _watch(self, index: int, rule: ThresholdRule, sub) -> None:
-        while True:
-            env = await sub.get()
-            body = env.body
-            if not isinstance(body, NormalizedMessage):
-                continue
-            if rule.field not in body.cooked:
-                self.missing_field += 1
-                continue
-            try:
-                value = float(body.cooked[rule.field])
-            except (TypeError, ValueError):
-                self.missing_field += 1
-                continue
-            key = (index, body.device_id)
-            active = self._active.get(key, False)
-            if not active and rule.crossed(value):
-                self._active[key] = True
-                self._emit("threshold-crossed", rule, body, value)
-            elif active and rule.cleared(value):
-                self._active[key] = False
-                self._emit("threshold-cleared", rule, body, value)
+    def _check(self, index: int, rule: ThresholdRule, env: BusEnvelope) -> None:
+        body = env.body
+        if not isinstance(body, NormalizedMessage):
+            return
+        if rule.field not in body.cooked:
+            self.missing_field += 1
+            return
+        try:
+            value = float(body.cooked[rule.field])
+        except (TypeError, ValueError):
+            self.missing_field += 1
+            return
+        key = (index, body.device_id)
+        active = self._active.get(key, False)
+        if not active and rule.crossed(value):
+            self._active[key] = True
+            self._emit("threshold-crossed", rule, body, value)
+        elif active and rule.cleared(value):
+            self._active[key] = False
+            self._emit("threshold-cleared", rule, body, value)
 
     def _emit(self, event_type: str, rule: ThresholdRule, msg: NormalizedMessage, value: float):
         self.bus.publish(
@@ -275,23 +269,18 @@ class RTCoffee(Verticle):
 
     async def start(self, bus) -> None:
         await super().start(bus)
-        sub = self.subscribe("feed/coffee/#")
-        self.spawn(self._run(sub))
+        self.consume("feed/coffee/#", self._step)
 
-    async def _run(self, sub) -> None:
-        while True:
-            env = await sub.get()
-            msg = env.body
-            if not isinstance(msg, NormalizedMessage):
-                continue
-            state = self._states.get(msg.device_id, CoffeeState())
-            state, events = coffee_step(state, msg, self.config, source=self.name)
-            self._states[msg.device_id] = state
-            for event in events:
-                self.bus.publish(
-                    f"event/coffee/{msg.device_id}",
-                    event, publisher=self.name)
-                self.events_emitted += 1
+    def _step(self, env: BusEnvelope) -> None:
+        msg = env.body
+        if not isinstance(msg, NormalizedMessage):
+            return
+        state = self._states.get(msg.device_id, CoffeeState())
+        state, events = coffee_step(state, msg, self.config, source=self.name)
+        self._states[msg.device_id] = state
+        for event in events:
+            self.bus.publish(f"event/coffee/{msg.device_id}", event, publisher=self.name)
+            self.events_emitted += 1
 
 
 @dataclass

@@ -20,7 +20,7 @@ import hashlib
 import json
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -31,17 +31,6 @@ from .pipe import BoundedQueue, Link, now_ms
 from .ws import WsConnection, ws_connect, ws_handshake_server
 
 log = logging.getLogger(__name__)
-
-FAMILIES = (
-    "smartplug",
-    "lora_co2",
-    "lora_temp",
-    "lora_occupancy",
-    "zigbee_motion",
-    "zigbee_door",
-    "deepdish",
-    "coffee",
-)
 
 TRANSPORTS = ("wifi_mqtt", "ttn_mqtt", "deconz_ws")
 
@@ -55,6 +44,7 @@ FAMILY_TRANSPORT = {
     "deepdish": "wifi_mqtt",
     "coffee": "wifi_mqtt",
 }
+FAMILIES = tuple(FAMILY_TRANSPORT)
 
 # Models the people-counter's on-device inference time.
 DEEPDISH_DELAY_S = 0.2
@@ -94,15 +84,7 @@ class DeviceProfile:
             self.extra_delay_s = DEEPDISH_DELAY_S
 
     def to_jsonable(self) -> dict:
-        return {
-            "device_id": self.device_id,
-            "family": self.family,
-            "period_s": self.period_s,
-            "transport": self.transport,
-            "jitter_s": self.jitter_s,
-            "extra_delay_s": self.extra_delay_s,
-            "app_id": self.app_id,
-        }
+        return asdict(self)
 
     @classmethod
     def from_jsonable(cls, raw: dict) -> "DeviceProfile":

@@ -230,26 +230,30 @@ class Stack:
         """What fails to add up once the stack has drained; empty when all does.
 
         Every queue must be conserved, the feed handler must account for what
-        it received (published + dead-lettered), and every reading emitted
-        must be filed, failed by the filer, dead-lettered or dropped on the
-        filer path. That path is every broker queue, every MQTT inbound queue
-        and the filer's subscription queue; the other subscriptions branch
-        off it.
+        it received (published + dead-lettered + failed), and every reading
+        emitted must be filed, failed by the filer, dead-lettered, dropped on
+        the filer path or failed there. That path is every broker queue, every
+        MQTT inbound queue and the filer's subscription queue; the other
+        subscriptions branch off it. Its failures are the handler failures of
+        the local broker's bridges, the feed handler and the filer.
         """
         walk = self.queues()
         problems = [f"{name} not conserved" for name, q in walk if not q.conserved()]
         fh, filer = self.feedhandler, self.filer
-        if fh.received != fh.published + fh.deadlettered:
+        if fh.received != fh.published + fh.deadlettered + fh.sink.failed:
             problems.append(f"feedhandler received {fh.received} != published "
-                            f"{fh.published} + deadlettered {fh.deadlettered}")
+                            f"{fh.published} + deadlettered {fh.deadlettered} + failed "
+                            f"{fh.sink.failed}")
         lost = sum(q.dropped for name, q in walk
                    if name.startswith(("broker.", "feedhandler.")))
         lost += sum(s.queue.dropped for s in self.rts.bus.subscriptions()
                     if s.owner == filer.name)
-        if emitted != filer.lines_written + filer.errors + fh.deadlettered + lost:
+        sinks = [b.sink for b in self.local._bridges] + [fh.sink, filer.sink]
+        failed = sum(sink.failed for sink in sinks)
+        if emitted != filer.lines_written + filer.errors + fh.deadlettered + lost + failed:
             problems.append(f"emitted {emitted} != filed {filer.lines_written} + filer errors "
                             f"{filer.errors} + deadlettered {fh.deadlettered} + dropped on "
-                            f"the filer path {lost}")
+                            f"the filer path {lost} + failed on it {failed}")
         return problems
 
     def audit(self) -> list[dict]:
@@ -258,7 +262,7 @@ class Stack:
     def feed_counters(self) -> dict[str, int]:
         fh = self.feedhandler
         return {"received": fh.received, "published": fh.published,
-                "deadlettered": fh.deadlettered}
+                "deadlettered": fh.deadlettered, "failed": fh.sink.failed}
 
     def filer_line_counts(self) -> dict[str, int]:
         """Lines on disk per device, independent of in-memory counters."""

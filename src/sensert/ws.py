@@ -12,6 +12,7 @@ import base64
 import hashlib
 import os
 import struct
+from contextlib import suppress
 
 _GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
@@ -133,15 +134,20 @@ class WsConnection:
 
     async def close(self) -> None:
         if not self.closed:
-            try:
+            with suppress(WsError):
                 await self._send(OP_CLOSE, b"")
-            except WsError:
-                pass
             self.closed = True
-        try:
+        with suppress(Exception):
             self._writer.close()
-        except Exception:
-            pass
+
+
+async def _read_headers(reader: asyncio.StreamReader) -> dict[str, str]:
+    """HTTP header lines up to the blank line, by lower-case name."""
+    headers = {}
+    while (line := await reader.readline()) not in (b"\r\n", b"\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return headers
 
 
 async def ws_connect(host: str, port: int, path: str = "/", timeout: float = 5.0) -> WsConnection:
@@ -161,15 +167,8 @@ async def ws_connect(host: str, port: int, path: str = "/", timeout: float = 5.0
     if b"101" not in status:
         writer.close()
         raise WsError(f"handshake rejected: {status!r}")
-    accept = None
-    while True:
-        line = await asyncio.wait_for(reader.readline(), timeout)
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        if name.strip().lower() == "sec-websocket-accept":
-            accept = value.strip()
-    if accept != _accept_key(key):
+    headers = await asyncio.wait_for(_read_headers(reader), timeout)
+    if headers.get("sec-websocket-accept") != _accept_key(key):
         writer.close()
         raise WsError("bad Sec-WebSocket-Accept")
     return WsConnection(reader, writer, client_side=True)
@@ -180,14 +179,7 @@ async def ws_handshake_server(reader: asyncio.StreamReader,
     request_line = await reader.readline()
     if not request_line.startswith(b"GET"):
         raise WsError(f"not a websocket upgrade: {request_line!r}")
-    key = None
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        if name.strip().lower() == "sec-websocket-key":
-            key = value.strip()
+    key = (await _read_headers(reader)).get("sec-websocket-key")
     if key is None:
         raise WsError("missing Sec-WebSocket-Key")
     response = (

@@ -79,6 +79,9 @@ def test_extract_key_variants():
     assert extract_msg_key("zigbee/m1/state", b'{"id": "m1", "sim_t0": 9}') == ("m1", 9)
     assert extract_msg_key("tele/p1/SENSOR", b'{"no_tag": 1}') is None
     assert extract_msg_key("x", b"garbage") is None
+    # a non-finite sim_t0 (1e400 parses as inf) is no key, not an error
+    assert extract_msg_key("tele/p1/SENSOR", b'{"sim_t0": 1e400}') is None
+    assert extract_msg_key("tele/p1/SENSOR", b'{"sim_t0": NaN}') is None
 
 
 # --- stats -----------------------------------------------------------------------------

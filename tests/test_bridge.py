@@ -46,6 +46,35 @@ def test_in_bridge_republishes_locally_same_topic():
     run(main())
 
 
+def test_a_bridged_publish_whose_routing_raises_costs_only_itself():
+    """The local broker's publish observer raises on one bridged-in publish:
+    the bridge counts it as failed and keeps routing what follows."""
+    def observer(from_bridge, topic, payload, t):
+        if payload == b"boom":
+            raise RuntimeError("observer fails")
+
+    async def main():
+        remote = await _broker("remote")
+        local = Broker(name="local", publish_observer=observer)
+        await local.start("127.0.0.1", 0)
+        bridge = local.add_bridge(BridgeRule(
+            remote=f"127.0.0.1:{remote.address[1]}", direction="in", filter="t/#"))
+        await _wait_connected(bridge)
+        sub = await MqttClient.connect(*local.address, client_id="sub")
+        await sub.subscribe(["t/#"])
+        pub = await MqttClient.connect(*remote.address, client_id="dev")
+        for payload in (b"boom", b"ok"):
+            await pub.publish("t/1", payload)
+        assert await sub.next_message(timeout=3) == ("t/1", b"ok", False)
+        assert bridge.sink.failed == 1 and bridge.link.up.is_set()
+        for client in (sub, pub):
+            await client.close()
+        await local.stop()
+        await remote.stop()
+
+    run(main())
+
+
 def test_in_bridge_local_prefix():
     async def main():
         remote = await _broker("remote")

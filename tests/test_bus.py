@@ -64,16 +64,6 @@ def test_drop_oldest_overflow():
     run(main())
 
 
-def test_drop_newest_overflow():
-    bus = EventBus()
-    sub = bus.subscribe("a", SubscriptionPolicy(queue_capacity=2, overflow="drop_newest"))
-    for i in range(5):
-        bus.publish("a", i)
-    assert sub.queue.dropped == 3
-    assert sub.get_nowait().body == 0
-    assert sub.get_nowait().body == 1
-
-
 def test_per_publisher_seq_strictly_increasing():
     bus = EventBus()
     sub = bus.subscribe("#")

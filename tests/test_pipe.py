@@ -1,4 +1,4 @@
-"""The shared pipeline primitives: BoundedQueue, Pump, Link, parse_addr, now_ms."""
+"""The shared pipeline primitives: BoundedQueue, Pump, Sink, Link, parse_addr, now_ms."""
 
 import argparse
 import asyncio
@@ -12,7 +12,7 @@ from sensert import pipe, wire
 from sensert.broker import Broker
 from sensert.cli import _addr
 from sensert.mqtt_client import MqttClient, MqttError
-from sensert.pipe import BoundedQueue, Link, Pump, QueueClosed, now_ms, parse_addr
+from sensert.pipe import BoundedQueue, Link, Pump, QueueClosed, Sink, now_ms, parse_addr
 
 
 def run(coro):
@@ -215,6 +215,55 @@ def test_pump_keeps_the_item_when_its_mqtt_client_is_closed():
         await broker.stop()
 
     run(main())
+
+
+def test_sink_handles_each_item_as_it_is_taken_until_closed():
+    """Items are handled in order, and whenever the loop yields, every item
+    taken from the queue has been handled: an empty queue means handled."""
+    async def main():
+        q = BoundedQueue(64)
+        seen = []
+        task = asyncio.create_task(Sink("s").run(q, seen.append))
+        for burst in range(10):
+            for i in range(burst):
+                q.put((burst, i))
+            for _ in range(burst + 2):
+                await asyncio.sleep(0)
+                assert len(seen) == q.delivered
+        assert q.pending == 0 and not task.done()  # waiting for the next item
+        q.close()
+        await asyncio.wait_for(task, 1)
+        assert seen == [(b, i) for b in range(10) for i in range(b)]
+
+    run(main())
+
+
+def test_sink_logs_and_counts_a_failing_item_and_goes_on(caplog):
+    """A handler that raises costs its item only. One sink counts failures
+    over every queue it runs."""
+    def handle(item):
+        if item % 3 == 2:
+            raise ValueError(f"bad item {item}")
+        seen.append(item)
+
+    async def main():
+        sink, queues = Sink("reader"), [BoundedQueue(8), BoundedQueue(8)]
+        for q in queues:
+            for i in range(6):
+                q.put(i)
+            q.close()
+        await asyncio.wait_for(asyncio.gather(*(sink.run(q, handle) for q in queues)), 1)
+        assert sink.failed == 4
+        assert all(q.conserved() and q.delivered == 6 for q in queues)
+
+    seen = []
+    with caplog.at_level("ERROR", logger="sensert.pipe"):
+        run(main())
+    assert sorted(seen) == [0, 0, 1, 1, 3, 3, 4, 4]
+    failures = [r for r in caplog.records if r.exc_info]
+    assert len(failures) == 4
+    assert failures[0].getMessage() == "reader: handler failed on 2"
+    assert "bad item 2" in caplog.text  # the traceback is in the log
 
 
 @pytest.mark.parametrize("raw", ["1883", "127.0.0.1:notaport", "h:99999", ":1883",

@@ -13,6 +13,7 @@ from sensert.bench import TapCollector, extract_msg_key, make_fleet
 from sensert.cli import build_parser, main
 from sensert.mqtt_client import MqttClient
 from sensert.rts import verticles
+from sensert.rts.verticles import RTCoffee, ThresholdWatch
 from sensert.rts.bus import SubscriptionPolicy
 from sensert.rts.monitor import DataMonitor
 from sensert.simfleet import DeviceProfile
@@ -161,10 +162,13 @@ def test_cli_module_entrypoint_smoke():
     assert "MATCH" in proc.stdout
 
 
-def test_parser_covers_spec_surfaces():
+def test_parser_covers_spec_surfaces(tmp_path):
     parser = build_parser()
-    args = parser.parse_args(["broker", "--config", "x.json", "--stats-interval", "10s"])
+    config = tmp_path / "x.json"
+    config.write_text('{"listen": "127.0.0.1:1884"}')
+    args = parser.parse_args(["broker", "--config", str(config), "--stats-interval", "10s"])
     assert args.stats_interval == 10.0
+    assert args.config.listen_port == 1884
     args = parser.parse_args([
         "sim", "--brokers", "local=127.0.0.1:1883,ttn=127.0.0.1:1884,zigbee=127.0.0.1:1885",
         "--scenario", "coffee", "--duration", "300"])
@@ -209,6 +213,26 @@ def test_meta_cli_bad_time_is_a_usage_error(tmp_path, capsys, argv):
         main(["meta", "--root", str(tmp_path / "store"), *argv])
     assert exc.value.code == 2
     assert "ISO-8601 time or epoch ms, got 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["broker", "--config"], {"listen": "127.0.0.1:99999"}),
+    (["broker", "--config"], None),  # no such file
+    (["rts", "--broker", "127.0.0.1:1", "--data-root", "unused", "--rules"],
+     [{"filter": "feed/#", "field": "co2", "op": "=", "value": 1000}]),
+    (["sim", "--brokers", "local=127.0.0.1:1", "--fleet"], [{"family": "smartplug"}]),
+    (["demo", "--config"], "{not json"),
+])
+def test_a_bad_config_file_is_a_usage_error(tmp_path, capsys, argv, content):
+    """Invalid JSON, a missing key, a bad value or an unreadable file ends
+    as an argparse error naming the flag, with exit code 2."""
+    path = tmp_path / "config.json"
+    if content is not None:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    with pytest.raises(SystemExit) as exc:
+        main(["--log-level", "ERROR", *argv, str(path)])
+    assert exc.value.code == 2
+    assert f"error: argument {argv[-1]}: cannot load {path}: " in capsys.readouterr().err
 
 
 def test_meta_cli_accepts_epoch_zero(tmp_path, capsys):
@@ -342,6 +366,101 @@ def test_stack_standalone_components(tmp_path):
         assert stack.local.address[1] > 0
         assert (tmp_path).exists()
         assert stack.filer_line_counts() == {}
+        await stack.stop()
+
+    run(main_())
+
+
+def collect(bus, filter_raw: str) -> tuple[list, asyncio.Task]:
+    """The event types published on ``filter_raw``, read as they come, so
+    the test's own queue is empty whenever the stack is."""
+    sub, got = bus.subscribe(filter_raw), []
+
+    async def read():
+        while True:
+            got.append((await sub.get()).body.event_type)
+
+    return got, asyncio.create_task(read())
+
+
+async def stop(stack: Stack, reader: asyncio.Task) -> None:
+    reader.cancel()
+    await asyncio.gather(reader, return_exceptions=True)
+    await stack.stop()
+
+
+def test_a_co2_reading_no_float_can_hold_costs_the_rule_one_reading(tmp_path):
+    """A TTN uplink whose co2 is a 400-digit integer makes the default CO2
+    rule raise (OverflowError). That reading is counted as failed, and the
+    crossing reading after it is still seen."""
+    def uplink(co2):
+        return {"end_device_ids": {"device_id": "co2-1"},
+                "uplink_message": {"decoded_payload": {"co2": co2}}}
+
+    async def main_():
+        stack = Stack(StackConfig(data_root=tmp_path))
+        await stack.start()
+        got, reader = collect(stack.rts.bus, "event/threshold/#")
+        for co2 in (10 ** 400, 1200):
+            stack.transports.publish("ttn_mqtt", "v3/app/devices/co2-1/up", uplink(co2))
+        assert await stack.drain()
+        (watch,) = [v for v in stack.rts.verticles if isinstance(v, ThresholdWatch)]
+        assert watch.sink.failed == 1
+        assert got == ["threshold-crossed"]
+        assert stack.reconcile(2) == []  # both readings are filed
+        await stop(stack, reader)
+
+    run(main_())
+
+
+def test_a_bad_coffee_record_costs_the_detector_one_reading(tmp_path):
+    """A normalized passthrough record whose weight is "abc" makes the coffee
+    step raise (ValueError); the detector still follows the trace after it."""
+    ts = 1_600_000_000_000
+    bad = {"device_id": "pot-1", "ts": ts, "family": "coffee", "received_at": ts,
+           "cooked": {"weight_kg": "abc", "grinder_w": 0.0, "brewer_w": 0.0}}
+
+    async def main_():
+        stack = Stack(StackConfig(data_root=tmp_path))
+        await stack.start()
+        got, reader = collect(stack.rts.bus, "event/coffee/#")
+        stack.transports.publish("wifi_mqtt", "normalized/feed/coffee/pot-1", bad)
+        for i, weight in enumerate([2.5] * 6 + [2.25] * 6):
+            stack.transports.publish("wifi_mqtt", "coffee/pot-1/reading", {
+                "weight_kg": weight, "grinder_w": 0.0, "brewer_w": 0.0, "ts": ts + 1000 * i})
+        assert await stack.drain()
+        (coffee,) = [v for v in stack.rts.verticles if isinstance(v, RTCoffee)]
+        assert coffee.sink.failed == 1
+        assert "pot-poured" in got and coffee.events_emitted == len(got)
+        await stop(stack, reader)
+
+    run(main_())
+
+
+def test_a_reading_whose_filing_raises_is_counted_and_the_filer_goes_on(tmp_path, monkeypatch):
+    """The filer's handler raises on one reading: later readings are still
+    filed, the stack drains, and the count closes with that failure named."""
+    write_file = verticles._write_file
+
+    def write_unless_plug_2(path, flags, data):
+        if "/plug-2/" in path:
+            raise RuntimeError("filing plug-2 fails")
+        write_file(path, flags, data)
+
+    monkeypatch.setattr(verticles, "_write_file", write_unless_plug_2)
+
+    async def main_():
+        stack = Stack(StackConfig(data_root=tmp_path))
+        await stack.start()
+        for i in range(5):
+            stack.transports.publish("wifi_mqtt", f"tele/plug-{i}/SENSOR",
+                                     {"ENERGY": {"Power": 5.0}})
+        assert await stack.drain()
+        filer = stack.filer
+        assert (filer.lines_written, filer.errors, filer.sink.failed) == (4, 0, 1)
+        assert stack.filer_line_counts() == {f"plug-{i}": 1 for i in (0, 1, 3, 4)}
+        assert stack.reconcile(5) == []
+        assert "failed on it 1" in stack.reconcile(6)[0]  # the failure is a named term
         await stack.stop()
 
     run(main_())
