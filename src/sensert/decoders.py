@@ -12,6 +12,7 @@ from __future__ import annotations
 import base64
 import json
 import logging
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
@@ -73,8 +74,13 @@ class NormalizedMessage:
 
     @cached_property
     def encoded(self) -> bytes:
-        """UTF-8 JSON made once (normalize forces it); every hop writes these bytes."""
-        return json.dumps(self.to_jsonable(), ensure_ascii=False).encode("utf-8")
+        """UTF-8 JSON made once (normalize forces it); every hop writes these bytes.
+
+        Strict JSON: a non-finite float raises ValueError instead of becoming
+        ``Infinity`` or ``NaN``, so normalize dead-letters that reading.
+        """
+        return json.dumps(self.to_jsonable(), ensure_ascii=False,
+                          allow_nan=False).encode("utf-8")
 
     @classmethod
     def from_jsonable(cls, raw: dict[str, Any]) -> "NormalizedMessage":
@@ -143,12 +149,20 @@ def _json_object(m: RawSensorMessage) -> dict[str, Any]:
     return obj
 
 
-def parse_time_ms(value: Any) -> int | None:
-    """Epoch milliseconds from either a number or an ISO-8601 string."""
-    if isinstance(value, bool) or value is None:
+def _finite_int(value: Any) -> int | None:
+    """``int(value)`` for an int or a finite float; None for anything else
+    (a bool, inf, NaN, a string)."""
+    if isinstance(value, bool):
         return None
-    if isinstance(value, (int, float)):
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float) and math.isfinite(value):
         return int(value)
+    return None
+
+
+def parse_time_ms(value: Any) -> int | None:
+    """Epoch milliseconds from either a finite number or an ISO-8601 string."""
     if isinstance(value, str):
         try:
             dt = datetime.fromisoformat(value.replace("Z", "+00:00"))
@@ -157,12 +171,11 @@ def parse_time_ms(value: Any) -> int | None:
         if dt.tzinfo is None:
             dt = dt.replace(tzinfo=timezone.utc)
         return int(dt.timestamp() * 1000)
-    return None
+    return _finite_int(value)
 
 
 def _sim_t0(obj: dict[str, Any]) -> int | None:
-    v = obj.get("sim_t0")
-    return int(v) if isinstance(v, (int, float)) and not isinstance(v, bool) else None
+    return _finite_int(obj.get("sim_t0"))
 
 
 # --- family decoders ----------------------------------------------------------
@@ -350,7 +363,7 @@ class DecoderRegistry:
             raise DecodeError(f"reading time {msg.ts} is not positive")
         try:
             msg.encoded
-        except (TypeError, ValueError) as exc:  # UnicodeEncodeError: a lone surrogate
+        except (TypeError, ValueError) as exc:  # a lone surrogate, inf or NaN
             raise DecodeError(f"record is not encodable as UTF-8 JSON: {exc}") from exc
         self.stats.decoded += 1
         return msg

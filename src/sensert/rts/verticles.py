@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import logging
+import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -17,6 +19,8 @@ from .bus import BusEnvelope, DerivedEvent, SubscriptionPolicy
 from .coffee import CoffeeConfig, CoffeeState, DEFAULT_CONFIG, coffee_step
 from .monitor import encode_body
 from .server import Verticle
+
+log = logging.getLogger(__name__)
 
 DAY_MS = 86_400_000  # a POSIX day: UTC days start at multiples of it
 
@@ -190,10 +194,13 @@ class ThresholdRule:
     hysteresis: float = 0.0
 
     def __post_init__(self):
+        wire.validate_filter(self.filter)  # InvalidFilter is a ValueError
         if self.op not in (">", "<"):
             raise ValueError(f"op must be > or <, got {self.op!r}")
-        if self.hysteresis < 0:
-            raise ValueError("hysteresis must be >= 0")
+        if not math.isfinite(self.value):
+            raise ValueError(f"value must be finite, got {self.value!r}")
+        if not (math.isfinite(self.hysteresis) and self.hysteresis >= 0):
+            raise ValueError(f"hysteresis must be finite and >= 0, got {self.hysteresis!r}")
 
     @classmethod
     def from_jsonable(cls, raw: dict) -> "ThresholdRule":
@@ -210,7 +217,14 @@ class ThresholdRule:
 
 
 class ThresholdWatch(Verticle):
-    """Edge-triggered threshold events with hysteresis on clearing."""
+    """Edge-triggered threshold events with hysteresis on clearing.
+
+    One subscription to the readings (``feed/+/+``) and one
+    :class:`~sensert.wire.TopicTree` of rule indices, however many rules
+    there are: each reading runs the rules whose filter matches its address,
+    in rule order. A rule whose check raises is logged and counted in
+    ``sink.failed``, and the next matched rule still runs.
+    """
 
     name = "thresholdwatch"
 
@@ -219,16 +233,28 @@ class ThresholdWatch(Verticle):
         self.rules = rules
         self.missing_field = 0
         self._active: dict[tuple[int, str], bool] = {}
+        self._index: wire.TopicTree[int] = wire.TopicTree()
+        for index, rule in enumerate(rules):
+            self._index.add(wire.validate_filter(rule.filter), index)
 
     async def start(self, bus) -> None:
         await super().start(bus)
-        for index, rule in enumerate(self.rules):
-            self.consume(rule.filter, partial(self._check, index, rule))
+        self.consume("feed/+/+", self._watch, SubscriptionPolicy(queue_capacity=8192))
 
-    def _check(self, index: int, rule: ThresholdRule, env: BusEnvelope) -> None:
+    def _watch(self, env: BusEnvelope) -> None:
         body = env.body
         if not isinstance(body, NormalizedMessage):
             return
+        matched = self._index.match(tuple(env.address.split("/")))
+        matched.sort()
+        for index in matched:
+            try:
+                self._check(index, self.rules[index], body)
+            except Exception:
+                self.sink.failed += 1
+                log.exception("%s: rule %d failed on %.200r", self.name, index, env)
+
+    def _check(self, index: int, rule: ThresholdRule, body: NormalizedMessage) -> None:
         if rule.field not in body.cooked:
             self.missing_field += 1
             return

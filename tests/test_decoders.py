@@ -43,6 +43,33 @@ def test_smartplug_missing_time_falls_back_to_receipt():
     assert decoders.decode_smartplug(m).ts == m.received_at
 
 
+@pytest.mark.parametrize("payload", [
+    b'{"ENERGY": {"Power": 5}, "sim_t0": 1e400}',
+    b'{"ENERGY": {"Power": 5}, "sim_t0": NaN}',
+    b'{"ENERGY": {"Power": 5}, "Time": 1e400}',
+    b'{"ENERGY": {"Power": 5}, "Time": -Infinity}',
+])
+def test_a_non_finite_optional_tag_costs_only_the_tag(payload):
+    """A non-finite sim_t0 is absent and a non-finite Time falls back to
+    receipt; the power reading is kept."""
+    m = raw("tele/p1/SENSOR", payload)
+    out = default_registry().normalize_or_deadletter(m)
+    assert isinstance(out, NormalizedMessage)
+    assert (out.cooked["power_w"], out.ts, out.sim_t0) == (5.0, m.received_at, None)
+
+
+@pytest.mark.parametrize("payload", [
+    b'{"ENERGY": {"Power": 1e400}}',
+    b'{"ENERGY": {"Power": NaN}}',
+    b'{"ENERGY": {"Power": 5, "Today": -Infinity}}',
+])
+def test_a_non_finite_reading_value_is_deadlettered(payload):
+    """Strict JSON has no Infinity or NaN, so no hop may write one."""
+    out = default_registry().normalize_or_deadletter(raw("tele/p1/SENSOR", payload))
+    assert isinstance(out, DeadLetter)
+    assert "not encodable" in out.reason
+
+
 def test_smartplug_not_json_is_decode_error():
     with pytest.raises(DecodeError):
         decoders.decode_smartplug(raw("tele/p1/SENSOR", b"not json"))
@@ -256,3 +283,5 @@ def test_parse_time_ms_variants():
     assert parse_time_ms("1970-01-01T00:00:01+00:00") == 1000
     assert parse_time_ms("nonsense") is None
     assert parse_time_ms(None) is None
+    assert parse_time_ms(float("inf")) is None
+    assert parse_time_ms(float("nan")) is None

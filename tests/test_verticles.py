@@ -521,6 +521,105 @@ def test_threshold_at_most_one_crossed_between_cleareds():
     run(main())
 
 
+def co2_msg(device, co2, **cooked):
+    return NormalizedMessage(device, 1, "ttn", {"co2": co2, **cooked}, b"{}", 1)
+
+
+def threshold_events(sub):
+    return [(env.body.device_id, env.body.attributes["threshold"])
+            for env in iter(sub.get_nowait, None)]
+
+
+def test_threshold_rules_share_one_subscription_and_one_task():
+    """A thousand rules deploy as one bus subscription and one task, and a
+    reading still reaches the one rule for its device."""
+
+    async def main():
+        rts = RealTimeServer()
+        events = rts.bus.subscribe("event/threshold/#")
+        subs, tasks = len(rts.bus.subscriptions()), len(asyncio.all_tasks())
+        await rts.deploy(ThresholdWatch([
+            ThresholdRule(f"feed/ttn/c{i}", "co2", ">", i) for i in range(1000)]))
+        assert len(rts.bus.subscriptions()) == subs + 1
+        assert len(asyncio.all_tasks()) == tasks + 1
+        rts.bus.publish("feed/ttn/c999", co2_msg("c999", 1200))
+        await asyncio.sleep(0.1)
+        assert threshold_events(events) == [("c999", 999)]
+        await rts.stop()
+
+    run(main())
+
+
+def test_threshold_rules_matching_one_reading_emit_in_rule_order():
+    """Rule order, not filter shape, orders the events of one reading, also
+    once the watch is waiting for readings."""
+
+    async def main():
+        rts = RealTimeServer()
+        events = rts.bus.subscribe("event/threshold/#")
+        await rts.deploy(ThresholdWatch([ThresholdRule("feed/ttn/c1", "co2", ">", 900),
+                                         ThresholdRule("feed/+/c1", "co2", ">", 800),
+                                         ThresholdRule("feed/#", "co2", ">", 1000)]))
+        for co2 in (500, 1200):
+            rts.bus.publish("feed/ttn/c1", co2_msg("c1", co2))
+            await asyncio.sleep(0.05)
+        assert threshold_events(events) == [("c1", 900), ("c1", 800), ("c1", 1000)]
+        await rts.stop()
+
+    run(main())
+
+
+def test_a_rule_that_raises_leaves_the_reading_to_the_next_rule():
+    """float(10**400) raises OverflowError in the first rule: it is counted
+    in sink.failed and the second rule still sees the reading."""
+
+    async def main():
+        rts = RealTimeServer()
+        events = rts.bus.subscribe("event/threshold/#")
+        watch = ThresholdWatch([ThresholdRule("feed/#", "huge", ">", 1),
+                                ThresholdRule("feed/#", "co2", ">", 1000)])
+        await rts.deploy(watch)
+        rts.bus.publish("feed/ttn/c1", co2_msg("c1", 1200, huge=10 ** 400))
+        await asyncio.sleep(0.1)
+        assert watch.sink.failed == 1
+        assert threshold_events(events) == [("c1", 1000)]
+        await rts.stop()
+
+    run(main())
+
+
+@pytest.mark.parametrize("flt, fired", [
+    ("#", ["c1", "p1"]),
+    ("feed/+/+", ["c1", "p1"]),
+    ("feed/ttn/#", ["c1"]),
+    ("+/ttn/c1", ["c1"]),
+    ("feed/+/p1", ["p1"]),
+    ("feed/deadletter/#", []),
+])
+def test_threshold_wildcard_filters_still_fire(flt, fired):
+    async def main():
+        rts = RealTimeServer()
+        events = rts.bus.subscribe("event/threshold/#")
+        await rts.deploy(ThresholdWatch([ThresholdRule(flt, "co2", ">", 1000)]))
+        rts.bus.publish("feed/ttn/c1", co2_msg("c1", 1200))
+        rts.bus.publish("feed/smartplug/p1", plug_msg("p1", co2=1200))
+        await asyncio.sleep(0.1)
+        assert [device for device, _ in threshold_events(events)] == fired
+        await rts.stop()
+
+    run(main())
+
+
+@pytest.mark.parametrize("flt, value, hysteresis", [
+    ("feed/#/x", 1000, 0), ("feed/ttn+", 1000, 0), ("", 1000, 0),
+    ("feed/#", float("nan"), 0), ("feed/#", float("inf"), 0),
+    ("feed/#", 1000, float("nan")), ("feed/#", 1000, float("inf")), ("feed/#", 1000, -1),
+])
+def test_threshold_rule_rejects_bad_filter_or_value_when_built(flt, value, hysteresis):
+    with pytest.raises(ValueError):
+        ThresholdRule(flt, "co2", ">", value, hysteresis)
+
+
 # --- rtcoffee verticle -----------------------------------------------------------------
 
 def test_rtcoffee_verticle_emits_on_bus():
