@@ -220,12 +220,12 @@ def test_meta_cli_bad_time_is_a_usage_error(tmp_path, capsys, argv):
     (["broker", "--config"], None),  # no such file
     (["rts", "--broker", "127.0.0.1:1", "--data-root", "unused", "--rules"],
      [{"filter": "feed/#", "field": "co2", "op": "=", "value": 1000}]),
+    (["sim", "--brokers", "local=127.0.0.1:1", "--fleet"], [{"family": "smartplug"}]),
+    (["demo", "--config"], "{not json"),
     (["rts", "--broker", "127.0.0.1:1", "--data-root", "unused", "--rules"],
      [{"filter": "feed/#/x", "field": "co2", "op": ">", "value": 1000}]),
     (["rts", "--broker", "127.0.0.1:1", "--data-root", "unused", "--rules"],
      [{"filter": "feed/#", "field": "co2", "op": ">", "value": "nan"}]),
-    (["sim", "--brokers", "local=127.0.0.1:1", "--fleet"], [{"family": "smartplug"}]),
-    (["demo", "--config"], "{not json"),
 ])
 def test_a_bad_config_file_is_a_usage_error(tmp_path, capsys, argv, content):
     """Invalid JSON, a missing key, a bad value or an unreadable file ends
