@@ -18,6 +18,7 @@ import itertools
 import json
 import logging
 import time
+import uuid
 from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Callable
@@ -148,6 +149,7 @@ class Broker:
             self._server.close()
             await self._server.wait_closed()
         await asyncio.gather(*self._tasks, return_exceptions=True)
+        self._tasks.clear()
 
     def add_bridge(self, rule: BridgeRule) -> "Bridge":
         bridge = Bridge(self, rule)
@@ -307,32 +309,32 @@ class Bridge:
         self.broker = broker
         self.rule = rule
         self.link_id = broker.new_link_id()
+        # one id per bridge, kept over its reconnects: brokers of one name
+        # bridging to one remote must not supersede each other there
+        self.client_id = f"bridge-{broker.name}-{uuid.uuid4().hex[:10]}"
         self.link: Link[MqttClient] = Link(self._open, self._serve)
         self.sink = Sink(f"bridge-in:{rule.remote}")
         # kept for the bridge's life, so its pump's publish in hand survives a reconnect
         self._out_sub: _Subscriber | None = None
-        self._task: asyncio.Task | None = None
         if rule.direction in ("out", "both"):
             self._out_sub = _Subscriber(self.link_id, broker._max_session_queue, broker.stats)
             self._out_sub.name = f"bridge-out:{rule.remote}"
             self._out_sub.filters[rule.filter] = wire.validate_filter(rule.filter)
-            broker.register_subscriber(self._out_sub)
 
     def start(self) -> None:
-        if self._task is None:
-            self._task = asyncio.create_task(self.link.run())
+        if self._out_sub is not None:
+            self.broker.register_subscriber(self._out_sub)
+        self.link.start()
 
     async def stop(self) -> None:
         if self._out_sub is not None:
             self.broker.unregister_subscriber(self._out_sub)
-        if self._task is not None:
-            self._task.cancel()
-            await asyncio.gather(self._task, return_exceptions=True)
+        await self.link.stop()
 
     async def _open(self) -> MqttClient:
         client = await MqttClient.connect(
             self.rule.remote_host, self.rule.remote_port,
-            client_id=f"bridge-{self.broker.name}-{self.link_id}", keep_alive_s=30)
+            client_id=self.client_id, keep_alive_s=30)
         if self.rule.direction == "out":
             return client
         return await subscribed(client, [self.rule.filter])

@@ -189,7 +189,7 @@ async def _run_sim(args) -> int:
         deconz = DeconzWsServer()
         await deconz.start(*args.ws_listen)
         translator = ZigbeeTranslator(*deconz.address, *brokers["zigbee"])
-        await translator.start()
+        translator.link.start()
         log.info("gateway websocket on %s:%d", *deconz.address)
 
     transports = Transports(local=brokers["local"], ttn=brokers.get("ttn"), deconz=deconz)
@@ -209,7 +209,7 @@ async def _run_sim(args) -> int:
     finally:
         await transports.stop()
         if translator is not None:
-            await translator.stop()
+            await translator.link.stop()
         if deconz is not None:
             await deconz.stop()
     return 0

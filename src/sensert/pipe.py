@@ -15,10 +15,11 @@ emitted = filed + filer errors + dead-lettered + dropped on the filer path)
 all read it.
 
 Every outbound connection (bridges, the feed handler, the router, the
-simulator's uplinks, the ZigBee translator) is a :class:`Link`, whose ``up``
-is set only while the connection can carry traffic. Every writer from a queue
-to a connection (broker sessions, bridge-out forwarders, DataMonitor clients,
-the router's routes) is a :class:`Pump`, which drains or keeps each item.
+simulator's uplinks, the ZigBee translator) is a :class:`Link`, run by its own
+``start`` and ``stop``, whose ``up`` is set only while it can carry traffic.
+Every writer from a queue to a connection (broker sessions, bridge-out
+forwarders, DataMonitor clients, the router's routes) is a :class:`Pump`,
+which drains or keeps each item.
 Every other queue but the device buffers feeds in-process code through a
 :class:`Sink`, which handles each item as it is taken and outlives a failure.
 """
@@ -190,7 +191,8 @@ class Sink:
 
 
 class Link(Generic[C]):
-    """One outbound connection, kept up by :meth:`run`.
+    """One outbound connection, kept up by :meth:`run` in the task that
+    :meth:`start` makes and :meth:`stop` ends.
 
     ``connect()`` does all a connection needs before it carries traffic
     (handshakes, subscriptions), so ``up`` is set exactly while ``conn``
@@ -205,6 +207,23 @@ class Link(Generic[C]):
         self._serve = serve
         self.conn: C | None = None
         self.up = asyncio.Event()
+        self._task: asyncio.Task | None = None
+        self._stopping = False
+
+    def start(self) -> None:
+        """Run :meth:`run` in a task of its own, unless one is running."""
+        if self._task is None:
+            self._stopping = False
+            self._task = asyncio.create_task(self.run())
+
+    async def stop(self) -> None:
+        """Cancel the task and wait for it. A connect can swallow the cancel
+        (``asyncio.wait_for`` can), so :meth:`run` also checks for a stop."""
+        self._stopping = True
+        task, self._task = self._task, None
+        if task is not None:
+            task.cancel()
+            await asyncio.gather(task, return_exceptions=True)
 
     async def run(self) -> None:
         """Connect, ``serve(conn)`` until it ends, close, repeat. Failed
@@ -215,10 +234,15 @@ class Link(Generic[C]):
             try:
                 conn = await self._connect()
             except (OSError, asyncio.TimeoutError) as exc:
+                if self._stopping:
+                    return
                 log.info("connect failed (%r); retry in %.1fs", exc, delay)
                 await asyncio.sleep(delay)
                 delay = min(delay * 2, BACKOFF_CAP_S)
                 continue
+            if self._stopping:
+                await conn.close()
+                return
             delay = BACKOFF_BASE_S
             self.conn = conn
             self.up.set()

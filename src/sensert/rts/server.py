@@ -5,7 +5,7 @@ from __future__ import annotations
 import asyncio
 import logging
 
-from ..pipe import Sink
+from ..pipe import Link, Sink
 from .bus import EventBus, Subscription
 
 log = logging.getLogger(__name__)
@@ -15,10 +15,11 @@ class Verticle:
     """An independently deployable actor.
 
     Subclasses override :meth:`start` to create subscriptions (via
-    ``self.subscribe``) and spawn tasks (via ``self.spawn``); both are torn
-    down on undeploy without touching any other verticle's queues. Queued
-    items reach its code through its one :class:`~sensert.pipe.Sink`
-    (``self.consume``), so ``sink.failed`` counts every item that raised.
+    ``self.subscribe``), spawn tasks (via ``self.spawn``) and start the Links
+    in ``self.links``; all end on undeploy, links first, without touching any
+    other verticle's queues. Queued items reach its code through its one
+    :class:`~sensert.pipe.Sink` (``self.consume``): ``sink.failed`` counts
+    every item that raised.
     """
 
     name = "verticle"
@@ -27,12 +28,14 @@ class Verticle:
         self.bus: EventBus | None = None
         self._tasks: list[asyncio.Task] = []
         self._subs: list[Subscription] = []
+        self.links: list[Link] = []
         self.sink = Sink(self.name)
 
     async def start(self, bus: EventBus) -> None:
         self.bus = bus
 
     async def stop(self) -> None:
+        await asyncio.gather(*(link.stop() for link in self.links))
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)

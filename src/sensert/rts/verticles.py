@@ -41,6 +41,7 @@ class FeedHandler(Verticle):
         # up once subscribed to #; a closed client ends the sink's run, and the link reconnects
         self.link: Link[MqttClient] = Link(
             self._open, lambda client: self.sink.run(client.inbound, self._republish))
+        self.links.append(self.link)
 
     def pending(self) -> int:
         client = self.link.conn
@@ -48,7 +49,7 @@ class FeedHandler(Verticle):
 
     async def start(self, bus) -> None:
         await super().start(bus)
-        self.spawn(self.link.run())
+        self.link.start()
 
     async def _open(self) -> MqttClient:
         client = await MqttClient.connect(self.host, self.port,
@@ -223,7 +224,8 @@ class ThresholdWatch(Verticle):
     :class:`~sensert.wire.TopicTree` of rule indices, however many rules
     there are: each reading runs the rules whose filter matches its address,
     in rule order. A rule whose check raises is logged and counted in
-    ``sink.failed``, and the next matched rule still runs.
+    ``sink.failed``, and the next matched rule still runs. ``missing_field``
+    counts checks whose field is absent or not a finite number.
     """
 
     name = "thresholdwatch"
@@ -261,6 +263,8 @@ class ThresholdWatch(Verticle):
         try:
             value = float(body.cooked[rule.field])
         except (TypeError, ValueError):
+            value = math.nan
+        if not math.isfinite(value):  # no event may carry inf or nan
             self.missing_field += 1
             return
         key = (index, body.device_id)
@@ -348,8 +352,7 @@ class MessageRouter(Verticle):
     def __init__(self, routes: list[RouteRule]):
         super().__init__()
         self.routes = routes
-        self.pumps: list[Pump] = []  # one per route, in order
-        self.links: list[Link[MqttClient]] = []
+        self.pumps: list[Pump] = []  # one per route, in order, as self.links
 
     @property
     def forwarded(self) -> int:
@@ -365,4 +368,4 @@ class MessageRouter(Verticle):
                               client_id=f"rts-router-{id(self) & 0xFFFF}-{index}",
                               keep_alive_s=30)
             self.links.append(Link(connect, self.pumps[-1].run))
-            self.spawn(self.links[-1].run())
+            self.links[-1].start()

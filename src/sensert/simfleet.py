@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from .decoders import RawSensorMessage
-from .mqtt_client import MqttClient, MqttError
+from .mqtt_client import MqttClient
 from .pipe import BoundedQueue, Link, now_ms
 from .ws import WsConnection, ws_connect, ws_handshake_server
 
@@ -327,6 +327,7 @@ class DeconzWsServer:
         # on_push(topic_hint, payload, t_ms) is the first-hop tap.
         self._on_push = on_push
         self._clients: list[WsConnection] = []
+        self._handlers: set[asyncio.Task] = set()
         self._server: asyncio.AbstractServer | None = None
         self.address: tuple[str, int] | None = None
         self.pushed = 0
@@ -342,8 +343,15 @@ class DeconzWsServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+        # the server does not wait for its connections: end each handler here
+        for task in self._handlers:
+            task.cancel()
+        await asyncio.gather(*self._handlers, return_exceptions=True)
 
     async def _handle(self, reader, writer) -> None:
+        me = asyncio.current_task()
+        self._handlers.add(me)
+        me.add_done_callback(self._handlers.discard)
         try:
             conn = await ws_handshake_server(reader, writer)
         except Exception as exc:
@@ -388,22 +396,13 @@ class _GatewaySession(NamedTuple):
 
 
 class ZigbeeTranslator:
-    """Read/write bridge: gateway websocket events onto the zigbee broker."""
+    """Read/write bridge: gateway websocket events onto the zigbee broker over ``link``."""
 
     def __init__(self, ws_host: str, ws_port: int, broker_host: str, broker_port: int):
         self.ws_addr = (ws_host, ws_port)
         self.broker_addr = (broker_host, broker_port)
         self.forwarded = 0
         self.link: Link[_GatewaySession] = Link(self._open, self._serve)
-        self._task: asyncio.Task | None = None
-
-    async def start(self) -> None:
-        self._task = asyncio.create_task(self.link.run())
-
-    async def stop(self) -> None:
-        if self._task is not None:
-            self._task.cancel()
-            await asyncio.gather(self._task, return_exceptions=True)
 
     async def _open(self) -> _GatewaySession:
         ws = await ws_connect(*self.ws_addr)
@@ -437,66 +436,39 @@ class TransportDown(ConnectionError):
     pass
 
 
-class _MqttTransport:
-    """Keeps one broker connection alive; publish fails fast while down."""
-
-    def __init__(self, host: str, port: int, name: str):
-        self.name = name
-        self.link: Link[MqttClient] = Link(
-            lambda: MqttClient.connect(host, port, client_id=f"sim-{name}"),
-            MqttClient.wait_closed)
-        self._task: asyncio.Task | None = None
-
-    async def start(self) -> None:
-        self._task = asyncio.create_task(self.link.run())
-        # give the first connect a moment; devices buffer if it is slow
-        try:
-            await asyncio.wait_for(self.link.up.wait(), 2.5)
-        except asyncio.TimeoutError:
-            pass
-
-    def publish(self, topic: str, payload: bytes) -> None:
-        client = self.link.conn
-        if client is None or client.closed:
-            raise TransportDown(self.name)
-        try:
-            client.publish_nowait(topic, payload)
-        except (MqttError, ConnectionError, OSError) as exc:
-            raise TransportDown(self.name) from exc
-
-    async def stop(self) -> None:
-        if self._task is not None:
-            self._task.cancel()
-            await asyncio.gather(self._task, return_exceptions=True)
+def _uplink(host: str, port: int, name: str) -> Link[MqttClient]:
+    return Link(lambda: MqttClient.connect(host, port, client_id=f"sim-{name}"),
+                MqttClient.wait_closed)
 
 
 class Transports:
-    """The three uplink channels keyed by DeviceProfile.transport."""
+    """The three uplink channels keyed by DeviceProfile.transport; the MQTT ones are Links."""
 
     def __init__(self, local: tuple[str, int], ttn: tuple[str, int] | None = None,
                  deconz: DeconzWsServer | None = None):
-        self._wifi = _MqttTransport(*local, name="wifi")
-        self._ttn = _MqttTransport(*ttn, name="ttn") if ttn else None
+        self._mqtt = {"wifi_mqtt": _uplink(*local, name="wifi")}
+        if ttn:
+            self._mqtt["ttn_mqtt"] = _uplink(*ttn, name="ttn")
         self._deconz = deconz
-        self.uplinks = [t for t in (self._wifi, self._ttn) if t is not None]
+        self.uplinks = list(self._mqtt.values())
 
     async def start(self) -> None:
-        for uplink in self.uplinks:
-            await uplink.start()
+        for link in self.uplinks:
+            link.start()
 
     async def stop(self) -> None:
-        for uplink in self.uplinks:
-            await uplink.stop()
+        await asyncio.gather(*(link.stop() for link in self.uplinks))
 
     def publish(self, transport: str, topic: str, payload: dict) -> None:
         """Synchronous send: pairs atomically with the caller's emission log."""
-        raw = json.dumps(payload).encode()
-        if transport == "wifi_mqtt":
-            self._wifi.publish(topic, raw)
-        elif transport == "ttn_mqtt":
-            if self._ttn is None:
-                raise TransportDown("ttn transport not configured")
-            self._ttn.publish(topic, raw)
+        if transport in ("wifi_mqtt", "ttn_mqtt"):
+            link = self._mqtt.get(transport)
+            if link is None or link.conn is None:  # a device buffers while its link is down
+                raise TransportDown(f"{transport} down or not configured")
+            try:
+                link.conn.publish_nowait(topic, json.dumps(payload).encode())
+            except OSError as exc:  # an MqttError: the connection closed under us
+                raise TransportDown(transport) from exc
         elif transport == "deconz_ws":
             if self._deconz is None:
                 raise TransportDown("deconz transport not configured")

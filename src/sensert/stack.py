@@ -147,7 +147,7 @@ class Stack:
         self.deconz = DeconzWsServer(on_push=deconz_tap)
         await self.deconz.start(cfg.host, cfg.ws_port)
         self.translator = ZigbeeTranslator(*self.deconz.address, *self.zigbee.address)
-        await self.translator.start()
+        self.translator.link.start()
 
         def bus_observer(env) -> None:
             body = env.body
@@ -167,7 +167,7 @@ class Stack:
         self.transports = Transports(local=self.local.address, ttn=self.ttn.address,
                                      deconz=self.deconz)
         await self.transports.start()
-        links = [b.link for b in self.local._bridges] + [u.link for u in self.transports.uplinks]
+        links = [b.link for b in self.local._bridges] + self.transports.uplinks
         links += [self.feedhandler.link, self.translator.link]
         await asyncio.wait_for(asyncio.gather(*(link.up.wait() for link in links)), 10)
 
@@ -196,7 +196,7 @@ class Stack:
         if self.transports is not None:
             await self.transports.stop()
         if self.translator is not None:
-            await self.translator.stop()
+            await self.translator.link.stop()
         if self.deconz is not None:
             await self.deconz.stop()
         if self.rts is not None:

@@ -360,3 +360,78 @@ def test_bridge_retries_past_a_peer_that_is_not_mqtt(monkeypatch):
         await remote.stop()
 
     run(main())
+
+
+def test_bridges_carry_traffic_again_after_their_broker_restarts():
+    async def main():
+        remote = await _broker("remote")
+        local = await _broker("local")
+        port = local.address[1]
+        to_remote = f"127.0.0.1:{remote.address[1]}"
+        bridges = [local.add_bridge(BridgeRule(remote=to_remote, direction="in", filter="down/#")),
+                   local.add_bridge(BridgeRule(remote=to_remote, direction="out", filter="up/#"))]
+        for bridge in bridges:
+            await _wait_connected(bridge)
+        await local.stop()
+        await local.start("127.0.0.1", port)
+        for bridge in bridges:
+            await _wait_connected(bridge)
+
+        local_sub = await MqttClient.connect(*local.address, client_id="local-sub")
+        await local_sub.subscribe(["down/#"])
+        remote_sub = await MqttClient.connect(*remote.address, client_id="remote-sub")
+        await remote_sub.subscribe(["up/#"])
+        remote_pub = await MqttClient.connect(*remote.address, client_id="remote-pub")
+        await remote_pub.publish("down/1", b"in")
+        assert await local_sub.next_message(timeout=3) == ("down/1", b"in", False)
+        local_pub = await MqttClient.connect(*local.address, client_id="local-pub")
+        await local_pub.publish("up/1", b"out")
+        assert await remote_sub.next_message(timeout=3) == ("up/1", b"out", False)
+        for client in (local_sub, remote_sub, remote_pub, local_pub):
+            await client.close()
+        await local.stop()
+        await remote.stop()
+
+    run(main())
+
+
+def test_same_named_brokers_bridge_to_one_remote_without_superseding():
+    """Every `sensert broker` is named "broker": two of them bridging out to
+    one shared remote still connect as two sessions there and lose nothing."""
+
+    async def main():
+        remote = await _broker("remote")
+        sub = await MqttClient.connect(*remote.address, client_id="sub")
+        await sub.subscribe(["up/#"])
+        locals_, bridges = [], []
+        for _ in range(2):
+            local = await _broker("broker")
+            bridges.append(local.add_bridge(BridgeRule(
+                remote=f"127.0.0.1:{remote.address[1]}", direction="out", filter="up/#")))
+            locals_.append(local)
+        for bridge in bridges:
+            await _wait_connected(bridge)
+
+        pubs = [await MqttClient.connect(*local.address) for local in locals_]
+        for i in range(50):
+            for n, pub in enumerate(pubs):
+                await pub.publish(f"up/{n}", b"%d" % i)
+            await asyncio.sleep(0.002)
+        got = []
+        try:
+            while len(got) < 100:
+                got.append(await sub.next_message(timeout=2))
+        except asyncio.TimeoutError:
+            pass
+        assert len(got) == 100
+        sessions = [name for name, _q in remote.queues()
+                    if name.startswith("broker.remote.session:bridge-broker-")]
+        assert len(sessions) == 2
+        assert all(bridge.link.up.is_set() for bridge in bridges)
+        for client in pubs + [sub]:
+            await client.close()
+        for local in locals_:
+            await local.stop()
+        await remote.stop()
+
+    run(main())

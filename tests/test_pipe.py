@@ -411,6 +411,60 @@ def test_cancelling_link_run_closes_the_connection():
     run(main())
 
 
+@pytest.mark.parametrize("outcome", ["connects", "fails"])
+def test_link_stop_returns_when_a_connect_swallows_the_cancel(outcome):
+    """asyncio.wait_for can swallow a cancel that lands as its inner connect
+    completes: the link still stops, and closes a connection it just made."""
+
+    async def main():
+        conn, held = FakeConn(), asyncio.Event()
+
+        async def connect():
+            held.set()
+            try:
+                await asyncio.Event().wait()
+            except asyncio.CancelledError:
+                pass  # swallowed, as wait_for can
+            if outcome == "fails":
+                raise ConnectionRefusedError("down")
+            return conn
+
+        async def serve(c):
+            await asyncio.Event().wait()
+
+        link = Link(connect, serve)
+        link.start()
+        await asyncio.wait_for(held.wait(), 1)
+        await asyncio.wait_for(link.stop(), 2)
+        assert not link.up.is_set() and link.conn is None
+        assert conn.closed == (outcome == "connects")
+
+    run(main())
+
+
+def test_link_starts_again_after_a_stop():
+    async def main():
+        conns = []
+
+        async def connect():
+            conns.append(FakeConn())
+            return conns[-1]
+
+        async def serve(c):
+            await asyncio.Event().wait()
+
+        link = Link(connect, serve)
+        for _ in range(2):
+            link.start()
+            link.start()  # a no-op while its task runs
+            await asyncio.wait_for(link.up.wait(), 1)
+            await link.stop()
+            assert not link.up.is_set() and link.conn is None
+        assert len(conns) == 2 and all(c.closed for c in conns)
+
+    run(main())
+
+
 def test_now_ms_is_epoch_ms():
     before = time.time() * 1000
     assert before - 1 <= now_ms() <= time.time() * 1000 + 1

@@ -281,7 +281,7 @@ def test_deconz_ws_to_translator_to_broker():
         server = DeconzWsServer(on_push=lambda topic, payload, t: taps.append(topic))
         await server.start()
         translator = ZigbeeTranslator(*server.address, *zigbee.address)
-        await translator.start()
+        translator.link.start()
 
         sub = await _collect(zigbee, ["zigbee/#"])
         await asyncio.wait_for(translator.link.up.wait(), 10)
@@ -293,7 +293,7 @@ def test_deconz_ws_to_translator_to_broker():
         assert taps == ["zigbee/m1/state"]
 
         await sub.close()
-        await translator.stop()
+        await translator.link.stop()
         await server.stop()
         await zigbee.stop()
 
@@ -350,6 +350,25 @@ def test_deconz_server_closes_connection_the_peer_closed(monkeypatch):
     run(main())
 
 
+def test_deconz_stop_ends_its_connection_handlers():
+    """A stop with a client still connected leaves no handler task behind."""
+
+    async def main():
+        server = DeconzWsServer()
+        await server.start()
+        client = await ws_connect(*server.address)
+        for _ in range(100):
+            if server._clients:
+                break
+            await asyncio.sleep(0.01)
+        assert server._clients
+        await server.stop()
+        assert asyncio.all_tasks() == {asyncio.current_task()}
+        await client.close()
+
+    run(main())
+
+
 @pytest.mark.parametrize("bad", [b"[1, 2]", b'"text"', b"\xff\xfe{}", b'{"id": "a+b"}'],
                          ids=["json-array", "json-string", "invalid-utf8", "wildcard-id"])
 def test_bad_gateway_frame_does_not_end_zigbee_stream(bad):
@@ -373,13 +392,13 @@ def test_bad_gateway_frame_does_not_end_zigbee_stream(bad):
 
         server = await asyncio.start_server(gateway, "127.0.0.1", 0)
         translator = ZigbeeTranslator(*server.sockets[0].getsockname()[:2], *zigbee.address)
-        await translator.start()
+        translator.link.start()
         topic, payload, _ = await sub.next_message(timeout=5)
         assert (topic, json.loads(payload)["id"]) == ("zigbee/m1/state", "m1")
         assert translator.forwarded == 1
 
         await sub.close()
-        await translator.stop()
+        await translator.link.stop()
         server.close()
         await server.wait_closed()
         await zigbee.stop()
@@ -396,7 +415,7 @@ def test_full_zigbee_device_through_fleet():
         server = DeconzWsServer()
         await server.start()
         translator = ZigbeeTranslator(*server.address, *zigbee.address)
-        await translator.start()
+        translator.link.start()
         await asyncio.sleep(0.3)
 
         sub = await _collect(zigbee, ["zigbee/#"])
@@ -417,7 +436,7 @@ def test_full_zigbee_device_through_fleet():
 
         await sub.close()
         await transports.stop()
-        await translator.stop()
+        await translator.link.stop()
         await server.stop()
         await zigbee.stop()
         await local.stop()

@@ -99,6 +99,43 @@ def test_feedhandler_counting_1000():
     run(main())
 
 
+def test_rts_stop_returns_when_the_feedhandler_connect_swallows_the_cancel(monkeypatch):
+    """The stop's cancel lands in the feed handler's connect, which swallows
+    it (as asyncio.wait_for can) and returns a client: the stop still returns."""
+    real_connect = MqttClient.connect
+    held, swallowed = asyncio.Event(), []
+
+    async def connect(*args, **kwargs):
+        client = await real_connect(*args, **kwargs)
+        if kwargs.get("client_id") == "rts-feedhandler" and not swallowed:
+            held.set()
+            try:
+                await asyncio.Event().wait()
+            except asyncio.CancelledError:
+                swallowed.append(True)
+        return client
+
+    monkeypatch.setattr(MqttClient, "connect", connect)
+
+    async def main():
+        broker = Broker()
+        await broker.start("127.0.0.1", 0)
+        rts = RealTimeServer()
+        fh = FeedHandler(*broker.address)
+        await rts.deploy(fh)
+        await asyncio.wait_for(held.wait(), 5)
+        await asyncio.wait_for(rts.stop(), 5)
+        assert swallowed and not fh.link.up.is_set() and fh.link.conn is None
+        for _ in range(100):  # the client made after the cancel was closed
+            if broker.live_sessions == 0:
+                break
+            await asyncio.sleep(0.01)
+        assert broker.live_sessions == 0
+        await broker.stop()
+
+    run(main())
+
+
 def test_feedhandler_reconnects_after_broker_restart():
     async def main():
         broker = Broker()
@@ -495,6 +532,34 @@ def test_threshold_missing_field_counted_skipped():
         await rts.stop()
 
     run(main())
+
+    run(main())
+
+
+def test_threshold_non_finite_value_counted_missing():
+    """A TTN uplink whose co2 is "1e999" normalizes, but float() makes it inf:
+    it is counted as missing and emits no event, so none carries Infinity."""
+    from sensert.decoders import RawSensorMessage, default_registry
+
+    def uplink(co2):
+        payload = json.dumps({"end_device_ids": {"device_id": "c"},
+                              "uplink_message": {"decoded_payload": {"co2": co2}}})
+        return default_registry().normalize(RawSensorMessage(
+            "v3/app/devices/c/up", payload.encode(), 1_600_000_000_000))
+
+    async def main():
+        rts = RealTimeServer()
+        events = rts.bus.subscribe("event/threshold/#")
+        watch = ThresholdWatch([ThresholdRule("feed/#", "co2", ">", 1000)])
+        await rts.deploy(watch)
+        rts.bus.publish("feed/ttn/c", uplink("1e999"))
+        await asyncio.sleep(0.1)
+        assert events.get_nowait() is None and watch.missing_field == 1
+        rts.bus.publish("feed/ttn/c", uplink(1200))
+        env = await asyncio.wait_for(events.get(), 3)
+        assert env.body.event_type == "threshold-crossed"
+        assert env.body.attributes["value"] == 1200.0
+        await rts.stop()
 
     run(main())
 
